@@ -55,9 +55,10 @@ bench:
 
 # Hot-path micro benchmarks with allocation reporting (the predictor
 # update path must stay at 0 allocs/op; the serve observe path must keep
-# reusing its retained routing matrices).
+# reusing its retained routing matrices; an executor iteration prices
+# each layer's token All-to-All once).
 bench-hot:
-	$(GO) test -run=NONE -bench=. -benchmem ./internal/fsep/ ./internal/sim/ ./internal/planner/ ./internal/trace/ ./internal/forecast/ ./internal/serve/
+	$(GO) test -run=NONE -bench=. -benchmem ./internal/fsep/ ./internal/sim/ ./internal/executor/ ./internal/planner/ ./internal/trace/ ./internal/forecast/ ./internal/serve/
 
 # The CI allocation-regression smoke: same packages as bench-hot at a
 # fixed small iteration budget, so the alloc columns are stable enough to
@@ -65,7 +66,7 @@ bench-hot:
 # smoke so the baseline carries the large-shape row too.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=100x -benchmem \
-		./internal/fsep/ ./internal/sim/ ./internal/planner/ ./internal/trace/ ./internal/forecast/ ./internal/serve/
+		./internal/fsep/ ./internal/sim/ ./internal/executor/ ./internal/planner/ ./internal/trace/ ./internal/forecast/ ./internal/serve/
 	@$(MAKE) --no-print-directory bench-scale-smoke
 
 # One incremental epoch of the N=4096-GPU x E=16384-expert frontier cell
@@ -85,14 +86,15 @@ bench-serve:
 	@rm -rf benchmarks/serve-bench-jnl
 
 # Compare the current hot-path benchmarks against the checked-in
-# baseline (benchmarks/baseline.txt). The warm-solve and generator
-# benchmarks ($(BENCH_GATE)) are a blocking gate: a >15% ns/op or
-# allocs/op regression fails the build. Everything else stays
+# baseline (benchmarks/baseline.txt). The warm-solve, generator, observe,
+# request-dispatch, iteration and N=128 lite-routing benchmarks
+# ($(BENCH_GATE)) are a blocking gate: a >15% ns/op or allocs/op
+# regression fails the build. Everything else stays
 # informational — single-shot samples on the remaining benchmarks are
 # too noisy to gate on. benchstat output is printed additionally when
 # installed. After an intentional perf change, refresh with
 # `make bench-baseline` and commit the result.
-BENCH_GATE = BenchmarkSolveWarm|BenchmarkGenerator|BenchmarkObserve|BenchmarkRequestDispatch
+BENCH_GATE = BenchmarkSolveWarm|BenchmarkGenerator|BenchmarkObserve|BenchmarkRequestDispatch|BenchmarkRunIteration|BenchmarkLiteRouting128
 bench-diff:
 	@mkdir -p benchmarks
 	$(MAKE) --no-print-directory bench-smoke > benchmarks/current.txt || (cat benchmarks/current.txt; exit 1)

@@ -24,11 +24,13 @@ type VolumeMatrix struct {
 	Bytes [][]float64
 }
 
-// NewVolumeMatrix returns a zeroed N x N matrix.
+// NewVolumeMatrix returns a zeroed N x N matrix. One slab backs every
+// row, so construction costs three allocations regardless of N.
 func NewVolumeMatrix(n int) *VolumeMatrix {
+	slab := make([]float64, n*n)
 	b := make([][]float64, n)
 	for i := range b {
-		b[i] = make([]float64, n)
+		b[i] = slab[i*n : (i+1)*n : (i+1)*n]
 	}
 	return &VolumeMatrix{N: n, Bytes: b}
 }

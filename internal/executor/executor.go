@@ -183,6 +183,7 @@ func RunIteration(cfg Config, layers []LayerPlan) (*metrics.Iteration, error) {
 		return nil, fmt.Errorf("executor: %d layer plans for %d layers", len(layers), cfg.Arch.Layers)
 	}
 	b := newBuilder(cfg)
+	b.prepare(layers)
 	for mb := 0; mb < cfg.MicroBatches; mb++ {
 		b.forward(layers)
 		b.backward(layers, mb == cfg.MicroBatches-1)
@@ -242,6 +243,9 @@ type builder struct {
 	// as the data dependency for the next layer.
 	lastS1 []sim.TaskID
 
+	// tpGroups are the consecutive attention TP groups (nil without TP).
+	tpGroups [][]int
+
 	// Per-layer ID scratch, reused across layers and micro-batches.
 	attn, td, experts []sim.TaskID
 	peReady, paReady  []sim.TaskID
@@ -250,6 +254,21 @@ type builder struct {
 	groupDepArena     []sim.TaskID
 	times             []float64
 	loads             []int
+
+	// Per-layer state no micro-batch changes, computed once per iteration
+	// by prepare: the base token All-to-All time (the four exchanges of a
+	// micro-batch differ only by a2aFactor), priced from one scan of the
+	// dispatch into the reused volume matrix vol, and the per-device task
+	// names.
+	vol   *comm.VolumeMatrix
+	a2a   []float64
+	names []layerNames
+}
+
+// layerNames are the names of one layer's per-device tasks.
+type layerNames struct {
+	fwdAttn, gate, mem, td, fwdExpert string
+	bwdExpert, bwdGate, bwdAttn       string
 }
 
 func newBuilder(cfg Config) *builder {
@@ -274,9 +293,13 @@ func newBuilder(cfg Config) *builder {
 		peReady: make([]sim.TaskID, n),
 		paReady: make([]sim.TaskID, n),
 		nextPE:  make([]sim.TaskID, n),
+		vol:     comm.NewVolumeMatrix(n),
 	}
 	for i := range b.lastS1 {
 		b.lastS1[i] = sim.NoTask
+	}
+	if cfg.TPDegree > 1 {
+		b.tpGroups = consecutiveGroups(n, cfg.TPDegree)
 	}
 	return b
 }
@@ -341,11 +364,10 @@ func (b *builder) tpAllReduceTime(group []int) float64 {
 	return b.comm.AllReduce(group, bytes)
 }
 
-// tpGroups returns the consecutive TP groups.
-func (b *builder) tpGroups() [][]int {
-	tp := b.cfg.TPDegree
+// consecutiveGroups splits n devices into consecutive groups of size tp.
+func consecutiveGroups(n, tp int) [][]int {
 	var out [][]int
-	for start := 0; start < b.n; start += tp {
+	for start := 0; start < n; start += tp {
 		g := make([]int, tp)
 		for i := range g {
 			g[i] = start + i
@@ -456,11 +478,29 @@ func (b *builder) nonExpertGradSyncTime() float64 {
 	}
 }
 
-// dispatchDuration returns the token All-to-All time of one layer's
+// prepare computes the per-layer state of the iteration: each layer's
+// base token All-to-All time, from one scan of its dispatch into the
+// builder's volume matrix, and its task names.
+func (b *builder) prepare(layers []LayerPlan) {
+	b.a2a = make([]float64, len(layers))
+	b.names = make([]layerNames, len(layers))
+	tokenBytes := b.cm.TokenCommBytes()
+	for l, lp := range layers {
+		lp.Dispatch.FillVolumeMatrix(b.vol, tokenBytes)
+		b.a2a[l] = b.comm.AllToAll(b.vol)
+		b.names[l] = layerNames{
+			fwdAttn: fmt.Sprintf("F_A%d", l), gate: fmt.Sprintf("G%d", l),
+			mem: fmt.Sprintf("mem%d", l), td: fmt.Sprintf("TD%d", l),
+			fwdExpert: fmt.Sprintf("F_M%d", l), bwdExpert: fmt.Sprintf("B_M%d", l),
+			bwdGate: fmt.Sprintf("B_G%d", l), bwdAttn: fmt.Sprintf("B_A%d", l),
+		}
+	}
+}
+
+// dispatchDuration returns the token All-to-All time of layer l's
 // dispatch (or combine — volumes are symmetric in size).
-func (b *builder) dispatchDuration(lp LayerPlan, backward bool) float64 {
-	vol := lp.Dispatch.VolumeMatrix(b.cm.TokenCommBytes())
-	return b.comm.AllToAll(vol) * b.a2aFactor(backward)
+func (b *builder) dispatchDuration(l int, backward bool) float64 {
+	return b.a2a[l] * b.a2aFactor(backward)
 }
 
 // expertTime returns per-device expert compute durations for one layer,
@@ -498,7 +538,6 @@ func (b *builder) forward(layers []LayerPlan) {
 	if b.prefetchContended() {
 		prefetchTimeE *= cfg.ContentionFactor
 	}
-	tpGroups := b.tpGroups()
 
 	// peReady[dev] is the prefetch task that must complete before the
 	// layer's expert computation on dev; paReady likewise for attention.
@@ -517,14 +556,15 @@ func (b *builder) forward(layers []LayerPlan) {
 	}
 
 	for l, lp := range layers {
+		names := &b.names[l]
 		// Attention (S1) after previous layer's output and PA_l.
 		attn := b.attn
 		for dev := 0; dev < b.n; dev++ {
-			attn[dev] = b.eng.Compute(fmt.Sprintf("F_A%d", l), dev, sim.StreamCompute, sim.CatAttention,
+			attn[dev] = b.eng.Compute(names.fwdAttn, dev, sim.StreamCompute, sim.CatAttention,
 				b.attnTime(dev, false), b.lastS1[dev], paReady[dev])
 		}
 		if cfg.TPDegree > 1 {
-			for _, g := range tpGroups {
+			for _, g := range b.tpGroups {
 				// One all-reduce after attention plus the TP->EP activation
 				// re-sharding of heterogeneous parallel folding.
 				ids := b.eng.Collective(fmt.Sprintf("AR_A%d", l), g, sim.StreamCompute, sim.CatTPComm,
@@ -538,17 +578,17 @@ func (b *builder) forward(layers []LayerPlan) {
 		// Gate, dispatcher decision, and fixed memory ops (S1).
 		td := b.td
 		for dev := 0; dev < b.n; dev++ {
-			gate := b.eng.Compute(fmt.Sprintf("G%d", l), dev, sim.StreamCompute, sim.CatGate,
+			gate := b.eng.Compute(names.gate, dev, sim.StreamCompute, sim.CatGate,
 				b.cm.GateComputeTime(dev, cfg.TokensPerDevice), attn[dev])
-			fixed := b.eng.Compute(fmt.Sprintf("mem%d", l), dev, sim.StreamCompute, sim.CatOther,
+			fixed := b.eng.Compute(names.mem, dev, sim.StreamCompute, sim.CatOther,
 				cfg.LayerFixedOverhead, gate)
-			td[dev] = b.eng.Compute(fmt.Sprintf("TD%d", l), dev, sim.StreamCompute, sim.CatDispatcher,
+			td[dev] = b.eng.Compute(names.td, dev, sim.StreamCompute, sim.CatDispatcher,
 				cfg.DispatcherOverhead, fixed)
 		}
 
 		// Token dispatch All-to-All (S3).
 		dispatch := b.collectiveAll(fmt.Sprintf("A2Ad%d", l), sim.StreamA2A, sim.CatA2A,
-			b.dispatchDuration(lp, false), td)
+			b.dispatchDuration(l, false), td)
 
 		// Prefetch of the next layer (S2) per the scheduling mode.
 		if cfg.Paradigm != ParadigmResident && l+1 < len(layers) {
@@ -579,13 +619,13 @@ func (b *builder) forward(layers []LayerPlan) {
 		times := b.expertTimes(lp, false)
 		experts := b.experts
 		for dev := 0; dev < b.n; dev++ {
-			experts[dev] = b.eng.Compute(fmt.Sprintf("F_M%d", l), dev, sim.StreamCompute, sim.CatExpert,
+			experts[dev] = b.eng.Compute(names.fwdExpert, dev, sim.StreamCompute, sim.CatExpert,
 				times[dev], dispatch[dev], peReady[dev])
 		}
 
 		// Combine All-to-All (S3).
 		combine := b.collectiveAll(fmt.Sprintf("A2Ac%d", l), sim.StreamA2A, sim.CatA2A,
-			b.dispatchDuration(lp, false), experts)
+			b.dispatchDuration(l, false), experts)
 		copy(b.lastS1, combine)
 
 		// Default (non-relaxed) prefetch: issue now, to be consumed by
@@ -619,7 +659,6 @@ func (b *builder) backward(layers []LayerPlan, lastMicroBatch bool) {
 	if b.gradSyncContended() {
 		syncTime *= cfg.ContentionFactor
 	}
-	tpGroups := b.tpGroups()
 
 	syncEveryMB := cfg.Paradigm != ParadigmResident
 	doSync := syncEveryMB || lastMicroBatch
@@ -652,11 +691,11 @@ func (b *builder) backward(layers []LayerPlan, lastMicroBatch bool) {
 	}
 
 	for l := len(layers) - 1; l >= 0; l-- {
-		lp := layers[l]
+		lp, names := layers[l], &b.names[l]
 
 		// Gradient All-to-All reversing the combine (S3).
 		gradIn := b.collectiveAll(fmt.Sprintf("B_A2Ac%d", l), sim.StreamA2A, sim.CatA2A,
-			b.dispatchDuration(lp, true), b.lastS1)
+			b.dispatchDuration(l, true), b.lastS1)
 
 		// Deferred gradient syncs from layer l+1 launch alongside this
 		// layer's expert backward (Fig. 5e).
@@ -684,7 +723,7 @@ func (b *builder) backward(layers []LayerPlan, lastMicroBatch bool) {
 		times := b.expertTimes(lp, true)
 		experts := b.experts
 		for dev := 0; dev < b.n; dev++ {
-			experts[dev] = b.eng.Compute(fmt.Sprintf("B_M%d", l), dev, sim.StreamCompute, sim.CatExpert,
+			experts[dev] = b.eng.Compute(names.bwdExpert, dev, sim.StreamCompute, sim.CatExpert,
 				times[dev], gradIn[dev], peReady[dev])
 		}
 
@@ -699,18 +738,18 @@ func (b *builder) backward(layers []LayerPlan, lastMicroBatch bool) {
 
 		// Gradient All-to-All reversing the dispatch (S3).
 		gradOut := b.collectiveAll(fmt.Sprintf("B_A2Ad%d", l), sim.StreamA2A, sim.CatA2A,
-			b.dispatchDuration(lp, true), experts)
+			b.dispatchDuration(l, true), experts)
 
 		// Gate and attention backward (S1).
 		attn := b.attn
 		for dev := 0; dev < b.n; dev++ {
-			gate := b.eng.Compute(fmt.Sprintf("B_G%d", l), dev, sim.StreamCompute, sim.CatGate,
+			gate := b.eng.Compute(names.bwdGate, dev, sim.StreamCompute, sim.CatGate,
 				b.cm.GateComputeTime(dev, cfg.TokensPerDevice), gradOut[dev])
-			attn[dev] = b.eng.Compute(fmt.Sprintf("B_A%d", l), dev, sim.StreamCompute, sim.CatAttention,
+			attn[dev] = b.eng.Compute(names.bwdAttn, dev, sim.StreamCompute, sim.CatAttention,
 				b.attnTime(dev, true), gate)
 		}
 		if cfg.TPDegree > 1 {
-			for _, g := range tpGroups {
+			for _, g := range b.tpGroups {
 				// Two all-reduces in backward (input and weight grads) plus
 				// the EP->TP activation-gradient re-sharding.
 				ids := b.eng.Collective(fmt.Sprintf("B_AR_A%d", l), g, sim.StreamCompute, sim.CatTPComm,

@@ -35,6 +35,27 @@ func BenchmarkLiteRouting32(b *testing.B) {
 	}
 }
 
+// BenchmarkLiteRouting128 routes one layer at the online benchmark's
+// shape: 512 experts on 16x8 devices at capacity 4, so every expert gets
+// one replica and most tokens split globally over a single target.
+func BenchmarkLiteRouting128(b *testing.B) {
+	topo := topology.New(16, 8)
+	r := benchMatrix(b, 128, 512, 512)
+	s := NewSolver(topo, 4, CostParams{TokenBytes: 8192, ExpertFLOPsPerToken: 352e6, FLOPS: 140e12}, DefaultSolverOptions())
+	sol, err := s.Solve(r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dispatchSink = LiteRouting(r, sol.Layout, topo)
+	}
+}
+
+// dispatchSink keeps the benchmarked router's result live.
+var dispatchSink *Dispatch
+
 // BenchmarkSolve scales the full Alg. 2 layout tuner (Fig. 11's subject).
 func BenchmarkSolve(b *testing.B) {
 	for _, n := range []int{32, 128, 512} {

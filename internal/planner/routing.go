@@ -82,16 +82,21 @@ func (d *Dispatch) SentLoads() []int {
 	return out
 }
 
-// VolumeMatrix converts the dispatch into All-to-All byte volumes at
+// FillVolumeMatrix overwrites vol, an N x N matrix the caller reuses
+// across dispatches, with the dispatch's All-to-All byte volumes at
 // tokenBytes per assignment. Local assignments (Src==Dst) move no bytes.
-func (d *Dispatch) VolumeMatrix(tokenBytes float64) *comm.VolumeMatrix {
-	vol := comm.NewVolumeMatrix(d.N)
+func (d *Dispatch) FillVolumeMatrix(vol *comm.VolumeMatrix, tokenBytes float64) {
+	if vol.N != d.N {
+		panic(fmt.Sprintf("planner: %d-device volume matrix for a %d-device dispatch", vol.N, d.N))
+	}
+	for _, row := range vol.Bytes {
+		clear(row)
+	}
 	for _, a := range d.Assignments {
 		if a.Src != a.Dst {
 			vol.Add(a.Src, a.Dst, float64(a.Tokens)*tokenBytes)
 		}
 	}
-	return vol
 }
 
 // CrossNodeTokens returns the number of assignments that cross a node
@@ -252,6 +257,31 @@ func forEachAssignment(r *trace.RoutingMatrix, l *Layout, topo *topology.Topolog
 	}
 }
 
+// assignmentCount returns how many assignments forEachAssignment emits
+// for r over the layout the scratch was built from, without walking them:
+// T tokens split evenly over n targets leave min(T, n) non-empty shares,
+// and the targets are the rank's intra-node replicas when there are any,
+// otherwise every replica of the expert.
+func (sc *routeScratch) assignmentCount(r *trace.RoutingMatrix, topo *topology.Topology) int {
+	nn := topo.NumNodes
+	count := 0
+	for rank := 0; rank < r.N; rank++ {
+		node := topo.Node(rank)
+		for j, tokens := range r.R[rank] {
+			if tokens == 0 {
+				continue
+			}
+			base := j*(nn+1) + node
+			n := sc.nodeOff[base+1] - sc.nodeOff[base]
+			if n == 0 {
+				n = sc.repOff[j+1] - sc.repOff[j]
+			}
+			count += min(tokens, n)
+		}
+	}
+	return count
+}
+
 // LiteRouting implements Alg. 3, run from the perspective of every source
 // rank. The algorithm needs only the global expert layout, no global
 // routing information, so it can run synchronously on every rank without
@@ -263,13 +293,11 @@ func LiteRouting(r *trace.RoutingMatrix, l *Layout, topo *topology.Topology) *Di
 	d := &Dispatch{N: r.N, E: r.E}
 	sc := routePool.Get().(*routeScratch)
 	sc.buildReplicas(l, topo)
-	// Counting pre-pass: tokens routed to a replica-less node split across
-	// every replica globally, so the assignment count can far exceed N*E;
-	// sizing exactly avoids the append-growth copies that otherwise
-	// dominate the router's allocation profile.
-	count := 0
-	forEachAssignment(r, l, topo, sc, func(src, expert, dst, tokens int, _ bool) { count++ })
-	d.Assignments = make([]Assignment, 0, count)
+	// Tokens routed to a replica-less node split across every replica
+	// globally, so the assignment count can far exceed N*E; sizing exactly
+	// avoids the append-growth copies that otherwise dominate the router's
+	// allocation profile.
+	d.Assignments = make([]Assignment, 0, sc.assignmentCount(r, topo))
 	loads := make([]int, d.N)
 	forEachAssignment(r, l, topo, sc, func(src, expert, dst, tokens int, _ bool) {
 		d.Assignments = append(d.Assignments, Assignment{Src: src, Expert: expert, Dst: dst, Tokens: tokens})

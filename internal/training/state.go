@@ -135,11 +135,18 @@ func (p *OnlinePlanner) RestoreState(st *PlannerState) error {
 			if len(row) != p.n {
 				return fmt.Errorf("training: layer %d expert %d has %d device cells, want %d", l, j, len(row), p.n)
 			}
+			replicas := 0
 			for d, v := range row {
 				if v < 0 {
 					return fmt.Errorf("training: layer %d expert %d device %d has negative replica count %d", l, j, d, v)
 				}
 				lay.A[j][d] = v
+				replicas += v
+			}
+			// Routing splits an expert's tokens over its replicas; an
+			// unplaced expert would divide by zero on the next plan.
+			if replicas == 0 {
+				return fmt.Errorf("training: layer %d expert %d has no replica", l, j)
 			}
 		}
 		layouts[l] = lay

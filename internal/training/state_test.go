@@ -147,6 +147,15 @@ func TestPlannerStateRestoreRejectsMismatch(t *testing.T) {
 	if err := p.RestoreState(&bad); err == nil {
 		t.Error("truncated layouts not rejected")
 	}
+	// An expert with no replica anywhere: accepted, it would make the next
+	// PlanEpoch divide by zero inside a worker and kill the process.
+	bad = *st
+	bad.Layouts = append([][][]int(nil), st.Layouts...)
+	bad.Layouts[0] = append([][]int(nil), st.Layouts[0]...)
+	bad.Layouts[0][0] = make([]int, len(st.Layouts[0][0]))
+	if err := p.RestoreState(&bad); err == nil {
+		t.Error("unplaced expert not rejected")
+	}
 	if p.StateDigest() != before {
 		t.Error("rejected restore mutated the planner")
 	}
