@@ -28,9 +28,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz smoke over the trace wire format (same budget as CI).
+# Fuzz every Fuzz* target in the module for 10 s each (the CI fuzz
+# step). -fuzz refuses a pattern matching two targets, so each name is
+# anchored; a new target is picked up without editing this rule or CI.
 fuzz:
-	$(GO) test -run=NONE -fuzz=FuzzTraceRoundTrip -fuzztime=10s ./internal/trace
+	@set -e; $(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read -r pkg dir; do \
+		for name in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$$dir"/*_test.go 2>/dev/null); do \
+			echo "fuzz $$pkg $$name"; \
+			$(GO) test -run=NONE -fuzz="^$$name\$$" -fuzztime=10s "$$pkg"; \
+		done; \
+	done
 
 # Coverage for the gated packages (CI enforces >= 85% on each).
 cover:

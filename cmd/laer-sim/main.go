@@ -20,7 +20,10 @@ import (
 	"strings"
 
 	"laermoe"
+	"laermoe/internal/forecast"
 	"laermoe/internal/prof"
+	"laermoe/internal/trace"
+	"laermoe/internal/training"
 	"laermoe/internal/viz"
 )
 
@@ -266,13 +269,13 @@ func validateFlags(f simFlags) error {
 	// registry, so a policy registered there is accepted here with no
 	// hand-kept list to update (and the registry's error carries the
 	// accepted names).
-	if _, err := laermoe.LookupDrift(f.drift); err != nil {
+	if _, err := training.ResolveDrift(trace.DriftModel(f.drift)); err != nil {
 		return fmt.Errorf("-drift: %v", err)
 	}
-	if _, err := laermoe.LookupPredictor(f.predictor); err != nil {
+	if _, err := training.ResolvePredictor(forecast.Kind(f.predictor)); err != nil {
 		return fmt.Errorf("-predictor: %v", err)
 	}
-	if _, err := laermoe.LookupWorkload(f.workload); err != nil {
+	if _, err := training.ResolveWorkload(training.Workload(f.workload)); err != nil {
 		return fmt.Errorf("-workload: %v", err)
 	}
 	if !names(laermoe.Arrivals()).has(f.arrival) {
@@ -284,7 +287,7 @@ func validateFlags(f simFlags) error {
 		if pol == "" {
 			continue
 		}
-		if _, err := laermoe.LookupPolicy(pol); err != nil {
+		if _, err := training.ResolvePolicy(training.ReplanPolicy(pol)); err != nil {
 			return fmt.Errorf("-policies: %v", err)
 		}
 		any = true
@@ -420,7 +423,7 @@ func runOnline(cluster *laermoe.Cluster, modelName, policies, workload, arrival 
 		}
 		label := pol
 		if pol == laermoe.PolicyPredictive {
-			label = pol + "/" + rep.Predictor
+			label = pol + "/" + string(rep.Predictor)
 		}
 		fmt.Printf("policy %s:\n", label)
 		viz.Table(os.Stdout, rows)

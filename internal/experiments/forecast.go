@@ -104,15 +104,15 @@ func Forecast(opts Options) (*ForecastResult, error) {
 		cell := ForecastCell{
 			Drift: c.drift.Model, Policy: c.policy, Predictor: c.predictor,
 			TotalStepTime: rep.TotalStepTime,
-			Throughput:    rep.MeanThroughput(),
+			Throughput:    rep.MeanThroughput,
 			Migrations:    rep.TotalMigrations,
-			ForecastError: rep.MeanForecastError(),
+			ForecastError: rep.MeanForecastError,
 		}
 		for _, e := range rep.Epochs {
 			cell.PredictedLayers += e.PredictedLayers
 			cell.CorrectedLayers += e.CorrectedLayers
 		}
-		cell.ObservationLag = rep.ObservationLag()
+		cell.ObservationLag = rep.ObservationLag
 		runs[i] = cell
 		return nil
 	})

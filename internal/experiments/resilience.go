@@ -112,7 +112,7 @@ func Resilience(opts Options) (*ResilienceResult, error) {
 			Schedule:        c.schedule,
 			Policy:          c.policy,
 			TotalStepTime:   rep.TotalStepTime,
-			Throughput:      rep.MeanThroughput(),
+			Throughput:      rep.MeanThroughput,
 			Migrations:      rep.TotalMigrations,
 			EpochsToRecover: -1,
 		}

@@ -112,7 +112,7 @@ func Scale(opts Options) (*ScaleResult, error) {
 			Devices: n, Experts: arch.Experts, Layers: arch.Layers,
 			Policy:        c.policy,
 			TotalStepTime: rep.TotalStepTime,
-			Throughput:    rep.MeanThroughput(),
+			Throughput:    rep.MeanThroughput,
 			Migrations:    rep.TotalMigrations,
 		}
 		for _, e := range rep.Epochs {

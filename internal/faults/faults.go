@@ -198,6 +198,24 @@ func (s Schedule) Validate(topo *topology.Topology) error {
 	return nil
 }
 
+// ValidateRun is Validate plus the run horizon: every event must fire
+// inside epochs x itersPerEpoch, so a schedule that would silently never
+// fire is rejected before the run starts.
+func (s Schedule) ValidateRun(topo *topology.Topology, epochs, itersPerEpoch int) error {
+	if err := s.Validate(topo); err != nil {
+		return err
+	}
+	if m := s.MaxEpoch(); m >= epochs {
+		return fmt.Errorf("faults: schedule reaches epoch %d but the run has %d epochs", m, epochs)
+	}
+	for _, ev := range s {
+		if ev.Iter >= itersPerEpoch {
+			return fmt.Errorf("faults: event %q fires at iteration %d but epochs have %d iterations", ev, ev.Iter, itersPerEpoch)
+		}
+	}
+	return nil
+}
+
 // At returns the events firing at the given (epoch, iteration) point, in
 // schedule order. Iteration 0 is the epoch boundary.
 func (s Schedule) At(epoch, iter int) []Event {

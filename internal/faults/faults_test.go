@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"strings"
 	"testing"
 
 	"laermoe/internal/topology"
@@ -99,6 +100,28 @@ func TestValidateDryRuns(t *testing.T) {
 	}
 	if topo.NumAvailable() != 32 {
 		t.Error("Validate mutated the topology")
+	}
+}
+
+func TestValidateRunHorizon(t *testing.T) {
+	topo := topology.New(4, 8)
+	for in, want := range map[string]string{
+		"1:fail:1,2:join:1": "",
+		"3:fail:1":          "reaches epoch 3",
+		"1.4:fail:1":        "fires at iteration 4",
+		"1:fail:9":          "out of range",
+	} {
+		sched, err := Parse(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sched.ValidateRun(topo, 3, 4)
+		switch {
+		case want == "" && err != nil:
+			t.Errorf("%q: valid schedule rejected: %v", in, err)
+		case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
+			t.Errorf("%q: error %v, want one naming %q", in, err, want)
+		}
 	}
 }
 

@@ -223,6 +223,10 @@ var (
 	})
 )
 
+// Default is the catalog name every entry point falls back to when no
+// model is given: the paper's Mixtral-8x7B.
+const Default = "mixtral-8x7b-e8k2"
+
 // ByName returns the preset configuration with the given canonical name.
 func ByName(name string) (*Config, error) {
 	c, ok := catalog[name]

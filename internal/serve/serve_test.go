@@ -304,6 +304,11 @@ func TestOpenSessionValidation(t *testing.T) {
 		{SessionSpec{Spec: sessionspec.Spec{ConfidenceThreshold: -0.1}}, "confidence_threshold"},
 		{SessionSpec{Nodes: -4}, "nodes"},
 		{SessionSpec{GPUsPerNode: -2}, "gpus_per_node"},
+		// Positive but past the layout-cell bound: the first would exhaust
+		// memory building the planner, the second wraps the device count
+		// to 0.
+		{SessionSpec{Nodes: 1 << 16, GPUsPerNode: 1 << 16}, "gpus_per_node"},
+		{SessionSpec{Nodes: 1 << 32, GPUsPerNode: 1 << 32}, "nodes"},
 		{SessionSpec{Spec: sessionspec.Spec{Policy: "predictive", Predictor: "crystal-ball"}}, "crystal-ball"},
 	}
 	for i, c := range cases {

@@ -38,26 +38,11 @@ type SessionSpec struct {
 }
 
 func (s SessionSpec) withDefaults() SessionSpec {
-	if s.Model == "" {
-		s.Model = "mixtral-8x7b-e8k2"
-	}
 	if s.Nodes == 0 {
 		s.Nodes = 4
 	}
 	if s.GPUsPerNode == 0 {
 		s.GPUsPerNode = 8
-	}
-	if s.Policy == "" {
-		s.Policy = string(training.ReplanWarm)
-	}
-	if s.Workload == "" {
-		s.Workload = string(training.WorkloadTraining)
-	}
-	if s.Workload == string(training.WorkloadInference) && s.Arrival == "" {
-		s.Arrival = string(trace.ArrivalDiurnal)
-	}
-	if s.IterationsPerEpoch == 0 {
-		s.IterationsPerEpoch = 6
 	}
 	return s
 }
@@ -104,6 +89,27 @@ func (s SessionSpec) validate() error {
 	}
 	if s.ConfidenceThreshold < 0 {
 		return fmt.Errorf("serve: confidence_threshold must not be negative (got %g)", s.ConfidenceThreshold)
+	}
+	return nil
+}
+
+// maxLayoutCells bounds layers x experts x devices for one session: the
+// largest shape the scale experiment plans (synthetic-e4096, 64 layers on
+// 128x8 GPUs). Past it, building the planner alone can exhaust the
+// daemon's memory and take every other session down with it.
+const maxLayoutCells = 1 << 28
+
+// checkLayoutCells rejects a cluster shape whose layouts would exceed
+// maxLayoutCells. The product is taken by division, so no posted shape can
+// overflow it; a wrapped device count would reach the planner as 0.
+func checkLayoutCells(arch *model.Config, nodes, gpusPerNode int) error {
+	budget := maxLayoutCells
+	for _, f := range []int{arch.Layers, arch.Experts, nodes, gpusPerNode} {
+		budget /= f
+	}
+	if budget == 0 {
+		return fmt.Errorf("serve: nodes x gpus_per_node (%d x %d) too large: %s's %d layers x %d experts over that many devices exceed %d layout cells",
+			nodes, gpusPerNode, arch.Name, arch.Layers, arch.Experts, maxLayoutCells)
 	}
 	return nil
 }
@@ -285,55 +291,36 @@ func newSession(id string, seq uint64, spec SessionSpec, pool *par.Pool) (*sessi
 	}
 	posted := spec
 	spec = spec.withDefaults()
-	arch, err := model.ByName(spec.Model)
+	topo := topology.New(spec.Nodes, spec.GPUsPerNode)
+	cfg, err := training.SpecConfig(spec.Spec, topo)
 	if err != nil {
 		return nil, err
 	}
-	topo := topology.New(spec.Nodes, spec.GPUsPerNode)
-	if err := topo.Validate(); err != nil {
+	if err := checkLayoutCells(cfg.Arch, spec.Nodes, spec.GPUsPerNode); err != nil {
 		return nil, err
 	}
-	migCost := spec.MigrationCostPerReplica
-	if migCost == 0 && spec.ChargeRelocation {
-		migCost = training.RelocationCostPerReplica(arch, topo)
+	arch := cfg.Arch
+	if cfg.MigrationCostPerReplica == 0 && spec.ChargeRelocation {
+		cfg.MigrationCostPerReplica = training.RelocationCostPerReplica(arch, topo)
 	}
-	core, err := training.NewOnlinePlanner(training.OnlineConfig{
-		Policy:                  training.ReplanPolicy(spec.Policy),
-		Workload:                training.Workload(spec.Workload),
-		Arrival:                 trace.ArrivalShape(spec.Arrival),
-		Arch:                    arch,
-		Topo:                    topo,
-		IterationsPerEpoch:      spec.IterationsPerEpoch,
-		MigrationThreshold:      spec.MigrationThreshold,
-		MigrationCostPerReplica: migCost,
-		Predictor:               forecast.Kind(spec.Predictor),
-		ConfidenceThreshold:     spec.ConfidenceThreshold,
-		AuxLossWeight:           spec.AuxLossWeight,
-		TraceSkew:               spec.DatasetSkew,
-		ForceTokensPerDevice:    spec.ForceTokensPerDevice,
-		GlobalBatchTokens:       spec.GlobalBatchTokens,
-		Pool:                    pool,
-		Seed:                    spec.Seed,
-	})
+	cfg.Pool = pool
+	core, err := training.NewOnlinePlanner(cfg)
 	if err != nil {
 		return nil, err
 	}
 	info := SessionInfo{
-		ID: id, Model: arch.Name, Policy: spec.Policy,
-		Workload: spec.Workload, Arrival: spec.Arrival,
+		ID: id, Model: arch.Name, Policy: string(cfg.Policy),
+		Workload: string(cfg.Workload), Arrival: string(cfg.Arrival),
 		Devices: core.Devices(), Experts: core.Experts(), Layers: core.Layers(),
 		TopK: arch.TopK, ExpertCapacity: arch.ExpertCapacity,
 		TokensPerDevice:         core.Setup().TokensPerDev,
-		IterationsPerEpoch:      spec.IterationsPerEpoch,
-		MigrationCostPerReplica: migCost,
-		Seed:                    spec.Seed,
+		IterationsPerEpoch:      cfg.IterationsPerEpoch,
+		MigrationCostPerReplica: cfg.MigrationCostPerReplica,
+		Seed:                    cfg.Seed,
 		AvailableDevices:        core.Devices(),
 	}
-	if pspec, perr := training.ResolvePolicy(training.ReplanPolicy(spec.Policy)); perr == nil && pspec.Predictive {
-		info.Predictor = spec.Predictor
-		if info.Predictor == "" {
-			info.Predictor = "trend"
-		}
+	if pspec, perr := training.ResolvePolicy(cfg.Policy); perr == nil && pspec.Predictive {
+		info.Predictor = string(cfg.Predictor)
 	}
 	sess := &session{id: id, seq: seq, spec: posted, info: info, core: core}
 	sess.touch()

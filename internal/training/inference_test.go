@@ -32,26 +32,26 @@ func inferenceCfg(policy ReplanPolicy, arrival trace.ArrivalShape) OnlineConfig 
 // TestOnlineInferenceAllPolicies: every registered policy must run the
 // inference workload unchanged and report request latencies.
 func TestOnlineInferenceAllPolicies(t *testing.T) {
-	for _, spec := range PolicySpecs() {
+	for _, policy := range ReplanPolicies() {
 		for _, arrival := range trace.ArrivalShapes() {
-			rep, err := RunOnline(inferenceCfg(spec.Name, arrival))
+			rep, err := RunOnline(inferenceCfg(policy, arrival))
 			if err != nil {
-				t.Fatalf("%s/%s: %v", spec.Name, arrival, err)
+				t.Fatalf("%s/%s: %v", policy, arrival, err)
 			}
 			if rep.Workload != WorkloadInference || rep.Arrival != arrival {
-				t.Fatalf("%s/%s: report labeled %s/%s", spec.Name, arrival, rep.Workload, rep.Arrival)
+				t.Fatalf("%s/%s: report labeled %s/%s", policy, arrival, rep.Workload, rep.Arrival)
 			}
 			if rep.DecodeP50 <= 0 || rep.DecodeP99 < rep.DecodeP50 {
 				t.Errorf("%s/%s: implausible run latencies p50=%g p99=%g",
-					spec.Name, arrival, rep.DecodeP50, rep.DecodeP99)
+					policy, arrival, rep.DecodeP50, rep.DecodeP99)
 			}
 			for _, ep := range rep.Epochs {
 				if ep.Requests <= 0 {
-					t.Errorf("%s/%s: epoch %d served no requests", spec.Name, arrival, ep.Epoch)
+					t.Errorf("%s/%s: epoch %d served no requests", policy, arrival, ep.Epoch)
 				}
 				if ep.DecodeP50 <= 0 || ep.DecodeP99 < ep.DecodeP50 {
 					t.Errorf("%s/%s: epoch %d implausible latencies p50=%g p99=%g",
-						spec.Name, arrival, ep.Epoch, ep.DecodeP50, ep.DecodeP99)
+						policy, arrival, ep.Epoch, ep.DecodeP50, ep.DecodeP99)
 				}
 			}
 		}

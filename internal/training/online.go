@@ -14,6 +14,7 @@ import (
 	"laermoe/internal/stats"
 	"laermoe/internal/topology"
 	"laermoe/internal/trace"
+	"laermoe/session"
 )
 
 // ReplanPolicy selects how the online engine reacts to epoch-scale load
@@ -214,6 +215,45 @@ func (c OnlineConfig) withDefaults() OnlineConfig {
 	return c
 }
 
+// SpecConfig translates a shared session specification into the engine
+// config it runs with on topo: the names take their typed forms, the
+// model resolves through the catalog (model.Default when empty), the
+// fault schedule is parsed, and every zero field takes its engine
+// default. It is the one place a session.Spec becomes an OnlineConfig;
+// SimulateOnline and the serve daemon set only their own knobs on top.
+func SpecConfig(spec session.Spec, topo *topology.Topology) (OnlineConfig, error) {
+	name := spec.Model
+	if name == "" {
+		name = model.Default
+	}
+	arch, err := model.ByName(name)
+	if err != nil {
+		return OnlineConfig{}, err
+	}
+	sched, err := faults.Parse(spec.FaultSchedule)
+	if err != nil {
+		return OnlineConfig{}, err
+	}
+	return OnlineConfig{
+		Policy:                  ReplanPolicy(spec.Policy),
+		Workload:                Workload(spec.Workload),
+		Arrival:                 trace.ArrivalShape(spec.Arrival),
+		Arch:                    arch,
+		Topo:                    topo,
+		IterationsPerEpoch:      spec.IterationsPerEpoch,
+		MigrationThreshold:      spec.MigrationThreshold,
+		MigrationCostPerReplica: spec.MigrationCostPerReplica,
+		Faults:                  sched,
+		Predictor:               forecast.Kind(spec.Predictor),
+		ConfidenceThreshold:     spec.ConfidenceThreshold,
+		AuxLossWeight:           spec.AuxLossWeight,
+		TraceSkew:               spec.DatasetSkew,
+		ForceTokensPerDevice:    spec.ForceTokensPerDevice,
+		GlobalBatchTokens:       spec.GlobalBatchTokens,
+		Seed:                    spec.Seed,
+	}.withDefaults(), nil
+}
+
 // OnlineEpoch reports one epoch of an online run.
 type OnlineEpoch struct {
 	Epoch int
@@ -322,52 +362,44 @@ type OnlineReport struct {
 	// Recoveries reports, per fault-bearing epoch, how the run absorbed
 	// its fault events (empty for fault-free runs).
 	Recoveries []FaultRecovery `json:"recoveries,omitempty"`
+
+	// MeanThroughput is tokens/s over the whole run.
+	MeanThroughput float64
+	// MeanForecastError averages the per-epoch forecast errors over the
+	// epochs that actually made a forecast (0 when none did).
+	MeanForecastError float64
+	// ObservationLag sums, over the epochs where a predictor can have
+	// earned trust (index >= trustWindows+1: errors are first measurable
+	// at epoch 1, and two sub-threshold windows must accumulate), the gap
+	// between each epoch's first iteration — net of any boundary migration
+	// charge — and the mean of its steady iterations (the third onward;
+	// the second carries observation-replan charges). This is the Fig. 7
+	// adaptation-lag penalty the predictive policy exists to remove,
+	// measured identically for every policy so reports are directly
+	// comparable; 0 when the run is too short to measure it.
+	ObservationLag float64
 }
 
-// MeanThroughput returns tokens/s over the whole run.
-func (r *OnlineReport) MeanThroughput() float64 {
-	if r.TotalStepTime == 0 {
-		return 0
+// summarize fills the run-level figures derived from the finished epochs.
+func (r *OnlineReport) summarize() {
+	if r.TotalStepTime != 0 {
+		tokens := float64(r.GlobalBatch) * float64(len(r.Epochs)*r.IterationsPerEpoch)
+		r.MeanThroughput = tokens / r.TotalStepTime
 	}
-	tokens := float64(r.GlobalBatch) * float64(len(r.Epochs)*r.IterationsPerEpoch)
-	return tokens / r.TotalStepTime
-}
-
-// ObservationLag sums, over the epochs where a predictor can have earned
-// trust (index >= trustWindows+1: errors are first measurable at epoch 1,
-// and two sub-threshold windows must accumulate), the gap between each
-// epoch's first iteration — net of any boundary migration charge — and
-// the mean of its steady iterations (the third onward; the second carries
-// observation-replan charges). This is the Fig. 7 adaptation-lag penalty
-// the predictive policy exists to remove, measured identically for every
-// policy so reports are directly comparable. Returns 0 when the run is
-// too short to measure it.
-func (r *OnlineReport) ObservationLag() float64 {
-	lag := 0.0
-	for _, e := range r.Epochs {
-		if e.Epoch < trustWindows+1 || len(e.IterationTimes) < 3 {
-			continue
-		}
-		lag += e.IterationTimes[0] - e.BoundaryMigrationTime - stats.Mean(e.IterationTimes[2:])
-	}
-	return lag
-}
-
-// MeanForecastError averages the per-epoch forecast errors over the epochs
-// that actually made a forecast (0 when none did).
-func (r *OnlineReport) MeanForecastError() float64 {
-	var sum float64
-	n := 0
+	var errSum float64
+	forecasts := 0
 	for _, e := range r.Epochs {
 		if e.ForecastError > 0 {
-			sum += e.ForecastError
-			n++
+			errSum += e.ForecastError
+			forecasts++
+		}
+		if e.Epoch >= trustWindows+1 && len(e.IterationTimes) >= 3 {
+			r.ObservationLag += e.IterationTimes[0] - e.BoundaryMigrationTime - stats.Mean(e.IterationTimes[2:])
 		}
 	}
-	if n == 0 {
-		return 0
+	if forecasts > 0 {
+		r.MeanForecastError = errSum / float64(forecasts)
 	}
-	return sum / float64(n)
 }
 
 // RelocationCostPerReplica returns the wall time of moving one expert
@@ -508,18 +540,8 @@ func RunOnline(cfg OnlineConfig) (*OnlineReport, error) {
 	if cfg.Workload == WorkloadInference && elastic {
 		return nil, fmt.Errorf("training: fault schedules are not supported for the inference workload")
 	}
-	if elastic {
-		if err := cfg.Faults.Validate(cfg.Topo); err != nil {
-			return nil, err
-		}
-		if m := cfg.Faults.MaxEpoch(); m >= cfg.Epochs {
-			return nil, fmt.Errorf("training: fault schedule reaches epoch %d but the run has %d epochs", m, cfg.Epochs)
-		}
-		for _, ev := range cfg.Faults {
-			if ev.Iter >= cfg.IterationsPerEpoch {
-				return nil, fmt.Errorf("training: fault event %q fires at iteration %d but epochs have %d iterations", ev, ev.Iter, cfg.IterationsPerEpoch)
-			}
-		}
+	if err := cfg.Faults.ValidateRun(cfg.Topo, cfg.Epochs, cfg.IterationsPerEpoch); err != nil {
+		return nil, err
 	}
 	core, err := NewOnlinePlanner(cfg)
 	if err != nil {
@@ -731,6 +753,7 @@ func RunOnline(cfg OnlineConfig) (*OnlineReport, error) {
 	if elastic {
 		report.Recoveries = faultRecoveries(report.Epochs)
 	}
+	report.summarize()
 	return report, nil
 }
 

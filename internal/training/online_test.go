@@ -8,6 +8,7 @@ import (
 	"laermoe/internal/model"
 	"laermoe/internal/topology"
 	"laermoe/internal/trace"
+	"laermoe/session"
 )
 
 // onlineCfg is a fast online configuration: one micro-batch per iteration.
@@ -208,7 +209,7 @@ func TestOnlineReportShape(t *testing.T) {
 	if total != rep.TotalStepTime {
 		t.Fatalf("TotalStepTime %.3f != epoch sum %.3f", rep.TotalStepTime, total)
 	}
-	if rep.MeanThroughput() <= 0 {
+	if rep.MeanThroughput <= 0 {
 		t.Fatal("non-positive mean throughput")
 	}
 
@@ -253,6 +254,34 @@ func TestOnlineConfigValidation(t *testing.T) {
 		c.Predictor = "oracle"
 	}); err == nil {
 		t.Fatal("unknown predictor accepted")
+	}
+}
+
+// TestSpecConfig pins the one session.Spec translation: a zero spec takes
+// every engine default (the model included), an inference spec its
+// default arrival, and a bad model name or fault schedule fails.
+func TestSpecConfig(t *testing.T) {
+	topo := topology.Default()
+	cfg, err := SpecConfig(session.Spec{}, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Arch.Name != model.Default || cfg.Topo != topo || cfg.Policy != ReplanWarm ||
+		cfg.Workload != WorkloadTraining || cfg.Arrival != "" || cfg.Predictor != forecast.KindTrend ||
+		cfg.IterationsPerEpoch != 6 || len(cfg.Faults) != 0 {
+		t.Fatalf("zero spec translated to %+v", cfg)
+	}
+	cfg, err = SpecConfig(session.Spec{Workload: "inference", Seed: 9, FaultSchedule: "1:fail:1"}, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Arrival != trace.ArrivalDiurnal || cfg.Seed != 9 || len(cfg.Faults) != 1 {
+		t.Fatalf("inference spec translated to %+v", cfg)
+	}
+	for _, bad := range []session.Spec{{Model: "nope"}, {FaultSchedule: "bogus"}} {
+		if _, err := SpecConfig(bad, topo); err == nil {
+			t.Errorf("spec %+v accepted", bad)
+		}
 	}
 }
 
@@ -305,7 +334,7 @@ func TestOnlinePredictiveRecoversLag(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warmLag, predLag := warm.ObservationLag(), pred.ObservationLag()
+		warmLag, predLag := warm.ObservationLag, pred.ObservationLag
 		if warmLag <= 0 {
 			t.Fatalf("drift %s: warm shows no observation lag (%.3fs) — scenario lost its point", sc.drift, warmLag)
 		}
@@ -329,7 +358,7 @@ func TestOnlinePredictiveRecoversLag(t *testing.T) {
 		if acted == 0 {
 			t.Errorf("drift %s: predictive never acted on a forecast", sc.drift)
 		}
-		if pred.MeanForecastError() <= 0 {
+		if pred.MeanForecastError <= 0 {
 			t.Errorf("drift %s: no forecast error reported", sc.drift)
 		}
 		if pred.Predictor != forecast.KindTrend {
@@ -356,9 +385,9 @@ func TestOnlinePredictiveNeverWorseOnBursty(t *testing.T) {
 	}
 	// The fallback engages: forecasts are made (and measured) but high
 	// errors keep the trust streak broken.
-	if pred.MeanForecastError() < DefaultConfidenceThreshold {
+	if pred.MeanForecastError < DefaultConfidenceThreshold {
 		t.Fatalf("bursty forecast error %.3f unexpectedly below the confidence threshold",
-			pred.MeanForecastError())
+			pred.MeanForecastError)
 	}
 }
 
@@ -379,7 +408,7 @@ func TestOnlinePredictorQualityOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		errs[kind] = rep.MeanForecastError()
+		errs[kind] = rep.MeanForecastError
 		if errs[kind] <= 0 {
 			t.Fatalf("%s: no forecast error measured", kind)
 		}

@@ -210,19 +210,6 @@ func ResolveDrift(name trace.DriftModel) (*DriftSpec, error) {
 	return nil, fmt.Errorf("training: unknown drift model %q (have %v)", name, trace.DriftModels())
 }
 
-// PolicySpecs returns the registry in registration order (shared slice;
-// callers must not mutate).
-func PolicySpecs() []PolicySpec { return policyRegistry }
-
-// WorkloadSpecs returns the workload registry in registration order.
-func WorkloadSpecs() []WorkloadSpec { return workloadRegistry }
-
-// PredictorSpecs returns the predictor registry in registration order.
-func PredictorSpecs() []PredictorSpec { return predictorRegistry }
-
-// DriftSpecs returns the drift-model registry in registration order.
-func DriftSpecs() []DriftSpec { return driftRegistry }
-
 // Workloads lists every registered workload name.
 func Workloads() []Workload {
 	out := make([]Workload, len(workloadRegistry))

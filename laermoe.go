@@ -227,9 +227,8 @@ func Simulate(opts SimOptions) (*SimReport, error) {
 	}, nil
 }
 
-// Replan policy names accepted by SimulateOnline. The names are aliases
-// into the policy registry — LookupPolicy resolves them to their
-// PolicySpec entries.
+// Replan policy names accepted by SimulateOnline. An unknown name fails
+// SimulateOnline fast with the valid set; Policies lists them.
 const (
 	PolicyStatic  = "static"
 	PolicyScratch = "scratch"
@@ -270,121 +269,6 @@ const (
 	ArrivalBursty = "bursty"
 )
 
-// PolicySpec describes one registered replan policy. Replans reports that
-// the policy plans re-layouts from observations; Tracks that it carries
-// incremental drift trackers; Predictive that it forecasts loads at epoch
-// boundaries. The dispatch-time baselines (llep, score-balance) have all
-// three false.
-type PolicySpec struct {
-	Name        string
-	Description string
-	Replans     bool
-	Tracks      bool
-	Predictive  bool
-}
-
-// WorkloadSpec describes one registered workload.
-type WorkloadSpec struct {
-	Name        string
-	Description string
-}
-
-// PredictorSpec describes one registered load predictor.
-type PredictorSpec struct {
-	Name        string
-	Description string
-}
-
-// DriftSpec describes one registered drift model.
-type DriftSpec struct {
-	Name        string
-	Description string
-}
-
-// LookupPolicy resolves a policy name to its registry entry, failing fast
-// with the valid set on an unknown name.
-func LookupPolicy(name string) (PolicySpec, error) {
-	spec, err := training.ResolvePolicy(training.ReplanPolicy(name))
-	if err != nil {
-		return PolicySpec{}, err
-	}
-	return PolicySpec{
-		Name: string(spec.Name), Description: spec.Description,
-		Replans: spec.Replans, Tracks: spec.Tracks, Predictive: spec.Predictive,
-	}, nil
-}
-
-// LookupWorkload resolves a workload name to its registry entry.
-func LookupWorkload(name string) (WorkloadSpec, error) {
-	spec, err := training.ResolveWorkload(training.Workload(name))
-	if err != nil {
-		return WorkloadSpec{}, err
-	}
-	return WorkloadSpec{Name: string(spec.Name), Description: spec.Description}, nil
-}
-
-// LookupPredictor resolves a predictor name to its registry entry.
-func LookupPredictor(name string) (PredictorSpec, error) {
-	spec, err := training.ResolvePredictor(forecast.Kind(name))
-	if err != nil {
-		return PredictorSpec{}, err
-	}
-	return PredictorSpec{Name: string(spec.Name), Description: spec.Description}, nil
-}
-
-// LookupDrift resolves a drift-model name to its registry entry.
-func LookupDrift(name string) (DriftSpec, error) {
-	spec, err := training.ResolveDrift(trace.DriftModel(name))
-	if err != nil {
-		return DriftSpec{}, err
-	}
-	return DriftSpec{Name: string(spec.Name), Description: spec.Description}, nil
-}
-
-// PolicySpecs returns every registered replan policy, in registration
-// order.
-func PolicySpecs() []PolicySpec {
-	specs := training.PolicySpecs()
-	out := make([]PolicySpec, len(specs))
-	for i, s := range specs {
-		out[i] = PolicySpec{
-			Name: string(s.Name), Description: s.Description,
-			Replans: s.Replans, Tracks: s.Tracks, Predictive: s.Predictive,
-		}
-	}
-	return out
-}
-
-// WorkloadSpecs returns every registered workload.
-func WorkloadSpecs() []WorkloadSpec {
-	specs := training.WorkloadSpecs()
-	out := make([]WorkloadSpec, len(specs))
-	for i, s := range specs {
-		out[i] = WorkloadSpec{Name: string(s.Name), Description: s.Description}
-	}
-	return out
-}
-
-// PredictorSpecs returns every registered load predictor.
-func PredictorSpecs() []PredictorSpec {
-	specs := training.PredictorSpecs()
-	out := make([]PredictorSpec, len(specs))
-	for i, s := range specs {
-		out[i] = PredictorSpec{Name: string(s.Name), Description: s.Description}
-	}
-	return out
-}
-
-// DriftSpecs returns every registered drift model.
-func DriftSpecs() []DriftSpec {
-	specs := training.DriftSpecs()
-	out := make([]DriftSpec, len(specs))
-	for i, s := range specs {
-		out[i] = DriftSpec{Name: string(s.Name), Description: s.Description}
-	}
-	return out
-}
-
 // Policies returns every online replanning policy name.
 func Policies() []string {
 	out := make([]string, 0, len(training.ReplanPolicies()))
@@ -396,10 +280,9 @@ func Policies() []string {
 
 // Workloads returns every online workload name.
 func Workloads() []string {
-	specs := training.WorkloadSpecs()
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = string(s.Name)
+	out := make([]string, 0, len(training.Workloads()))
+	for _, w := range training.Workloads() {
+		out = append(out, string(w))
 	}
 	return out
 }
@@ -497,144 +380,26 @@ type OnlineOptions struct {
 }
 
 // LayerDecision is one planning step's re-layout decision for one MoE
-// layer — what happened ("keep", "warm-replan", "scratch-replan",
-// "predictive-replan"), the replica moves it cost, and the balance the
+// layer: what happened ("keep", "warm-replan", "scratch-replan",
+// "predictive-replan", and on faults "elastic-repair" or
+// "checkpoint-restore"), the replica moves it cost, and the balance the
 // planner predicts for the layout left in force. The laer-serve daemon
-// returns the same decisions (as the same JSON) for the same observations.
-type LayerDecision struct {
-	Layer  int    `json:"layer"`
-	Action string `json:"action"`
-
-	Moves         int     `json:"moves"`
-	MigrationTime float64 `json:"migration_time_s"`
-
-	// Restored counts expert replicas re-read from checkpoint by a fault
-	// recovery decision, and RestoreTime the wall time charged for them
-	// (both zero outside fault recovery).
-	Restored    int     `json:"restored,omitempty"`
-	RestoreTime float64 `json:"restore_time_s,omitempty"`
-
-	// PredictedImbalance is the relative max per-device token load the
-	// planner expects from the layout left in force, under the routing
-	// that drove the decision (1.0 = perfect balance).
-	PredictedImbalance float64 `json:"predicted_imbalance"`
-	// ForecastError is the realized-vs-predicted relative load error
-	// attached to the decision (0 for non-predictive runs).
-	ForecastError float64 `json:"forecast_error"`
-}
+// returns the same decisions, as the same JSON, for the same observations.
+type LayerDecision = training.LayerDecision
 
 // OnlineEpochReport summarizes one epoch of an online run.
-type OnlineEpochReport struct {
-	Epoch int
-
-	StepTime      float64 // summed simulated wall time of the epoch
-	IterationTime float64 // mean seconds per iteration
-	Throughput    float64 // tokens per second
-
-	// IterationTimes is each iteration's simulated wall time in order,
-	// migration charges included where they land (the first iteration for
-	// forecast-driven boundary replans, the second for observation
-	// replans). The first-vs-rest gap is the observation-lag penalty the
-	// predictive policy removes.
-	IterationTimes []float64
-
-	Migrations    int     // expert replicas relocated entering this epoch
-	MigrationTime float64 // seconds charged for those relocations
-	// BoundaryMigrationTime is the portion of MigrationTime charged on
-	// the epoch's first iteration by predictive boundary replans.
-	BoundaryMigrationTime float64
-	Imbalance             float64 // mean relative max device load (1.0 = perfect)
-	PlannerTime           float64 // measured CPU seconds of the epoch's solves
-
-	// Requests counts the decode requests served this epoch, and
-	// DecodeP50/DecodeP99 their decode-latency percentiles in seconds
-	// (inference workload only; all zero for training).
-	Requests  int
-	DecodeP50 float64
-	DecodeP99 float64
-
-	// PredictedLayers counts layers whose boundary replan acted on a
-	// forecast, CorrectedLayers those where the post-observation
-	// refinement overrode the forecast layout, and ForecastError the mean
-	// realized-vs-predicted relative load error across forecasting layers
-	// (all zero for non-predictive policies).
-	PredictedLayers int
-	CorrectedLayers int
-	ForecastError   float64
-
-	// BoundaryDecisions are the per-layer forecast-driven decisions taken
-	// at the epoch boundary (predictive policy only; nil otherwise), and
-	// ObservationDecisions the per-layer decisions of the post-observation
-	// replan (nil for the static policy).
-	BoundaryDecisions    []LayerDecision
-	ObservationDecisions []LayerDecision
-
-	// FaultEvents lists the fault-schedule events that fired during this
-	// epoch (wire syntax), FaultDecisions the per-layer recovery decisions
-	// they forced, and Restored/RestoreTime the checkpoint re-read volume
-	// and charge they cost. All empty on fault-free epochs.
-	FaultEvents    []string
-	FaultDecisions []LayerDecision
-	Restored       int
-	RestoreTime    float64
-}
+type OnlineEpochReport = training.OnlineEpoch
 
 // FaultRecovery summarizes how one fault epoch was absorbed: what fired,
-// what the recovery re-read from checkpoint, the step-time it added over
+// what the recovery re-read from checkpoint, the step time it added over
 // the previous epoch, and how many epochs the policy needed to return to
 // within 10% of the pre-fault imbalance (-1 = never within the run).
-type FaultRecovery struct {
-	Epoch           int      `json:"epoch"`
-	Events          []string `json:"events"`
-	Restored        int      `json:"restored"`
-	RestoreTime     float64  `json:"restore_time_s"`
-	AddedStepTime   float64  `json:"added_step_time_s"`
-	EpochsToRecover int      `json:"epochs_to_recover"`
-}
+type FaultRecovery = training.FaultRecovery
 
-// OnlineReport summarizes a multi-epoch online run.
-type OnlineReport struct {
-	Policy string
-	// Workload names what the run planned for ("training" or
-	// "inference") and Arrival the traffic shape of an inference run
-	// (empty for training).
-	Workload string
-	Arrival  string
-	Drift    string
-	Model    string
-	// Predictor is the forecaster PolicyPredictive ran with (empty for
-	// other policies).
-	Predictor string
-
-	Epochs      []OnlineEpochReport
-	GlobalBatch int // tokens per iteration across the cluster
-
-	// Recoveries derives one record per fault epoch (empty without a
-	// FaultSchedule).
-	Recoveries []FaultRecovery
-
-	// TotalStepTime is the cumulative simulated step time — the headline
-	// number replanning policies compete on — and TotalMigrations the
-	// total relocation volume in expert replicas.
-	TotalStepTime   float64
-	TotalMigrations int
-	// MeanThroughput is tokens/s over the whole run.
-	MeanThroughput float64
-	// MeanForecastError averages the per-epoch realized-vs-predicted
-	// relative load error over forecasting epochs (0 for non-predictive
-	// policies).
-	MeanForecastError float64
-	// DecodeP50/DecodeP99 are the run's request decode-latency
-	// percentiles in seconds (inference workload only; 0 for training).
-	DecodeP50 float64
-	DecodeP99 float64
-	// ObservationLag sums, over the epochs where a predictor can have
-	// earned trust (>= 3), the gap between each epoch's first iteration —
-	// net of boundary migration charges — and its steady iterations: the
-	// Fig. 7 adaptation-lag penalty the predictive policy removes,
-	// measured identically for every policy.
-	ObservationLag float64
-}
+// OnlineReport summarizes a multi-epoch online run. Its name fields carry
+// the engine's named string types; convert with string(rep.Policy) where
+// a string is needed.
+type OnlineReport = training.OnlineReport
 
 // SimulateOnline runs a multi-epoch training simulation whose routing
 // trace drifts between epochs, replanning expert layouts per the chosen
@@ -645,114 +410,15 @@ func SimulateOnline(opts OnlineOptions) (*OnlineReport, error) {
 	if opts.Cluster == nil {
 		opts.Cluster = DefaultCluster()
 	}
-	if opts.Model == "" {
-		opts.Model = "mixtral-8x7b-e8k2"
-	}
-	if opts.Policy == "" {
-		opts.Policy = PolicyWarm
-	}
-	arch, err := model.ByName(opts.Model)
+	cfg, err := training.SpecConfig(opts.Spec, opts.Cluster.topo)
 	if err != nil {
 		return nil, err
 	}
-	sched, err := faults.Parse(opts.FaultSchedule)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := training.RunOnline(training.OnlineConfig{
-		Policy:   training.ReplanPolicy(opts.Policy),
-		Workload: training.Workload(opts.Workload),
-		Arrival:  trace.ArrivalShape(opts.Arrival),
-		Arch:     arch,
-		Topo:     opts.Cluster.topo,
-		Epochs:   opts.Epochs, IterationsPerEpoch: opts.IterationsPerEpoch,
-		Drift:                   trace.DriftConfig{Model: trace.DriftModel(opts.Drift), Rate: opts.DriftRate},
-		MigrationThreshold:      opts.MigrationThreshold,
-		MigrationCostPerReplica: opts.MigrationCostPerReplica,
-		Faults:                  sched,
-		RestoreCostPerReplica:   opts.RestoreCostPerReplica,
-		Predictor:               forecast.Kind(opts.Predictor),
-		ConfidenceThreshold:     opts.ConfidenceThreshold,
-		AuxLossWeight:           opts.AuxLossWeight,
-		TraceSkew:               opts.DatasetSkew,
-		ForceTokensPerDevice:    opts.ForceTokensPerDevice,
-		GlobalBatchTokens:       opts.GlobalBatchTokens,
-		Parallelism:             opts.Parallelism,
-		Seed:                    opts.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &OnlineReport{
-		Policy:            string(rep.Policy),
-		Workload:          string(rep.Workload),
-		Arrival:           string(rep.Arrival),
-		Drift:             string(rep.Drift),
-		Model:             rep.Model,
-		Predictor:         string(rep.Predictor),
-		GlobalBatch:       rep.GlobalBatch,
-		TotalStepTime:     rep.TotalStepTime,
-		TotalMigrations:   rep.TotalMigrations,
-		MeanThroughput:    rep.MeanThroughput(),
-		MeanForecastError: rep.MeanForecastError(),
-		ObservationLag:    rep.ObservationLag(),
-		DecodeP50:         rep.DecodeP50,
-		DecodeP99:         rep.DecodeP99,
-	}
-	for _, e := range rep.Epochs {
-		out.Epochs = append(out.Epochs, OnlineEpochReport{
-			Epoch:                 e.Epoch,
-			StepTime:              e.StepTime,
-			IterationTime:         e.IterationTime,
-			Throughput:            e.Throughput,
-			IterationTimes:        append([]float64(nil), e.IterationTimes...),
-			Migrations:            e.Migrations,
-			MigrationTime:         e.MigrationTime,
-			BoundaryMigrationTime: e.BoundaryMigrationTime,
-			Imbalance:             e.Imbalance,
-			PlannerTime:           e.PlannerTime,
-			Requests:              e.Requests,
-			DecodeP50:             e.DecodeP50,
-			DecodeP99:             e.DecodeP99,
-			PredictedLayers:       e.PredictedLayers,
-			CorrectedLayers:       e.CorrectedLayers,
-			ForecastError:         e.ForecastError,
-			BoundaryDecisions:     publicDecisions(e.BoundaryDecisions),
-			ObservationDecisions:  publicDecisions(e.ObservationDecisions),
-			FaultEvents:           append([]string(nil), e.FaultEvents...),
-			FaultDecisions:        publicDecisions(e.FaultDecisions),
-			Restored:              e.Restored,
-			RestoreTime:           e.RestoreTime,
-		})
-	}
-	for _, r := range rep.Recoveries {
-		out.Recoveries = append(out.Recoveries, FaultRecovery{
-			Epoch:           r.Epoch,
-			Events:          append([]string(nil), r.Events...),
-			Restored:        r.Restored,
-			RestoreTime:     r.RestoreTime,
-			AddedStepTime:   r.AddedStepTime,
-			EpochsToRecover: r.EpochsToRecover,
-		})
-	}
-	return out, nil
-}
-
-func publicDecisions(ds []training.LayerDecision) []LayerDecision {
-	if ds == nil {
-		return nil
-	}
-	out := make([]LayerDecision, len(ds))
-	for i, d := range ds {
-		out[i] = LayerDecision{
-			Layer: d.Layer, Action: string(d.Action),
-			Moves: d.Moves, MigrationTime: d.MigrationTime,
-			Restored: d.Restored, RestoreTime: d.RestoreTime,
-			PredictedImbalance: d.PredictedImbalance,
-			ForecastError:      d.ForecastError,
-		}
-	}
-	return out
+	cfg.Epochs = opts.Epochs
+	cfg.Drift = trace.DriftConfig{Model: trace.DriftModel(opts.Drift), Rate: opts.DriftRate}
+	cfg.RestoreCostPerReplica = opts.RestoreCostPerReplica
+	cfg.Parallelism = opts.Parallelism
+	return training.RunOnline(cfg)
 }
 
 // RelocationCost returns the wall time (seconds) of relocating one expert
@@ -764,7 +430,7 @@ func RelocationCost(modelName string, cluster *Cluster) (float64, error) {
 		cluster = DefaultCluster()
 	}
 	if modelName == "" {
-		modelName = "mixtral-8x7b-e8k2"
+		modelName = model.Default
 	}
 	arch, err := model.ByName(modelName)
 	if err != nil {
@@ -784,7 +450,7 @@ func CheckpointRestoreCost(modelName string, cluster *Cluster) (float64, error) 
 		cluster = DefaultCluster()
 	}
 	if modelName == "" {
-		modelName = "mixtral-8x7b-e8k2"
+		modelName = model.Default
 	}
 	arch, err := model.ByName(modelName)
 	if err != nil {
@@ -806,18 +472,7 @@ func ValidateFaultSchedule(schedule string, cluster *Cluster, epochs, itersPerEp
 	if err != nil {
 		return err
 	}
-	if err := sched.Validate(cluster.topo); err != nil {
-		return err
-	}
-	if m := sched.MaxEpoch(); m >= epochs {
-		return fmt.Errorf("laermoe: fault schedule reaches epoch %d but the run has %d epochs", m, epochs)
-	}
-	for _, ev := range sched {
-		if ev.Iter >= itersPerEpoch {
-			return fmt.Errorf("laermoe: fault event %q fires at iteration %d but epochs have %d iterations", ev, ev.Iter, itersPerEpoch)
-		}
-	}
-	return nil
+	return sched.ValidateRun(cluster.topo, epochs, itersPerEpoch)
 }
 
 // SynthesizeFaultSchedule draws a deterministic random fail/rejoin
@@ -891,7 +546,7 @@ func PlanLayout(req PlanRequest) (*PlanResult, error) {
 		return nil, fmt.Errorf("laermoe: capacity must be positive")
 	}
 	if req.Model == "" {
-		req.Model = "mixtral-8x7b-e8k2"
+		req.Model = model.Default
 	}
 	arch, err := model.ByName(req.Model)
 	if err != nil {

@@ -8,8 +8,10 @@
 // Zero values always mean "use the engine default", so the zero Spec is
 // valid and selects a warm-start training session on the default model.
 // Name validation (policy, predictor, workload, arrival) happens in the
-// consuming layer via the typed registry (laermoe.LookupPolicy and
-// friends), not here: this package holds data, not the catalog.
+// consuming layer via the engine's typed registry, not here: this package
+// holds data, not the catalog. laermoe.SimulateOnline fails fast on an
+// unknown name with the valid set in its error, and laermoe.Policies()
+// and its siblings list the names.
 package session
 
 // Spec is the online-session configuration shared by the library, the
@@ -21,7 +23,7 @@ type Spec struct {
 	Model string `json:"model,omitempty"`
 
 	// Policy is the replan policy name (default "warm"); see
-	// laermoe.PolicySpecs for the registry.
+	// laermoe.Policies() for the valid names.
 	Policy string `json:"policy,omitempty"`
 
 	// Workload selects what the session plans for: "training" (default,
