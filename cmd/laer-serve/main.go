@@ -37,7 +37,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address (use port 0 for an ephemeral port)")
-		parallelism = flag.Int("parallelism", 0, "worker budget shared by all sessions' solves (0 = all CPUs)")
+		parallelism = flag.Int("parallelism", 0, "worker budget shared by all sessions' solves and boot replay (0 = all CPUs)")
 		maxSessions = flag.Int("max-sessions", 64, "maximum concurrently open sessions")
 		sessionTTL  = flag.Duration("session-ttl", 0, "evict sessions idle longer than this (0 = never)")
 		journalDir  = flag.String("journal-dir", "", "event-source sessions to this directory and replay them on boot (empty = no durability)")

@@ -118,14 +118,17 @@ type Store struct {
 	done chan struct{}
 }
 
-// Open creates (or reopens) the journal directory and starts the fsync
-// batcher.
+// Open creates (or reopens) the journal directory, deletes the compaction
+// temp files a crash left in it, and starts the fsync batcher.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("journal: empty directory")
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
+	}
+	if err := removeTemps(opts.Dir); err != nil {
+		return nil, err
 	}
 	interval := opts.FsyncInterval
 	if interval == 0 {
@@ -147,8 +150,31 @@ func Open(opts Options) (*Store, error) {
 	return st, nil
 }
 
+// removeTemps deletes every <id>.jnl.tmp in dir. Rewrite's rename is its
+// commit point, so a temp file is never live data; one a crash left before
+// the rename is invisible to List and Remove and would otherwise stay on
+// disk forever, holding a full planner-state checkpoint.
+func removeTemps(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), tmpSuffix) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("journal: %w", err)
+		}
+	}
+	return nil
+}
+
 // Dir returns the store's directory.
 func (st *Store) Dir() string { return st.dir }
+
+// tmpSuffix names Rewrite's temp file: <id>.jnl.tmp.
+const tmpSuffix = ".jnl.tmp"
 
 func (st *Store) path(id string) string { return filepath.Join(st.dir, id+".jnl") }
 
@@ -268,7 +294,7 @@ func (st *Store) Rewrite(id string, recs []RewriteRecord) (*Writer, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("journal: rewrite of %s with no records", id)
 	}
-	tmpPath := st.path(id) + ".tmp"
+	tmpPath := filepath.Join(st.dir, id+tmpSuffix)
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)

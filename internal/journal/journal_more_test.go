@@ -129,6 +129,12 @@ func TestClosedStoreRefusesWriters(t *testing.T) {
 	if _, err := st.Create("s-2"); err == nil {
 		t.Fatal("closed store handed out a writer")
 	}
+	if _, _, err := st.OpenAppend("s-1"); err == nil {
+		t.Fatal("closed store reopened a journal for appending")
+	}
+	if _, err := st.Rewrite("s-1", []RewriteRecord{{Kind: KindOpen, Payload: map[string]int{"a": 1}}}); err == nil {
+		t.Fatal("closed store handed out a rewritten journal's writer")
+	}
 	if err := w.Append(KindObserve, nil); err == nil {
 		t.Fatal("append on a closed store's writer succeeded")
 	}

@@ -260,6 +260,9 @@ func TestInvalidIDs(t *testing.T) {
 		if _, err := st.Read(id); err == nil {
 			t.Fatalf("Read(%q) accepted", id)
 		}
+		if _, _, err := st.OpenAppend(id); err == nil {
+			t.Fatalf("OpenAppend(%q) accepted", id)
+		}
 		if err := st.Remove(id); err == nil {
 			t.Fatalf("Remove(%q) accepted", id)
 		}

@@ -1,6 +1,8 @@
 package journal
 
 import (
+	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -100,6 +102,91 @@ func TestRewriteLeavesNoTemp(t *testing.T) {
 	}
 	if len(ids) != 1 || ids[0] != "s-1" {
 		t.Fatalf("List = %v, want [s-1]", ids)
+	}
+
+	// A rewrite that fails after the temp file exists (a payload
+	// json.Marshal rejects) removes it and leaves the old journal intact.
+	path := filepath.Join(st.Dir(), "s-1.jnl")
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Rewrite("s-1", []RewriteRecord{
+		{Kind: KindOpen, Payload: payload{Note: "spec"}},
+		{Kind: KindState, Payload: math.NaN()},
+	}); err == nil {
+		t.Fatal("unmarshalable rewrite payload accepted")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("failed rewrite changed the journal:\n got: %s\nwant: %s", after, before)
+	}
+	if recs, err := st.Read("s-1"); err != nil || len(recs) != 1 {
+		t.Fatalf("journal after failed rewrite: %d records, err %v", len(recs), err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("failed rewrite left its temp file (stat err %v)", err)
+	}
+}
+
+// TestOpenRemovesCrashedRewriteTemps: a crash between Rewrite's temp write
+// and its rename leaves <id>.jnl.tmp behind. The rename is the commit
+// point, so Open deletes every temp file — beside a live journal or
+// orphaned — and leaves the journals themselves untouched.
+func TestOpenRemovesCrashedRewriteTemps(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(Options{Dir: dir, FsyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := st.Create("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(KindOpen, payload{Note: "spec"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "a.jnl")
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	temps := []string{filepath.Join(dir, "a.jnl.tmp"), filepath.Join(dir, "b.jnl.tmp")}
+	for _, tmp := range temps {
+		if err := os.WriteFile(tmp, []byte(`{"n":1,"k":"open","p":{}}`+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st, err = Open(Options{Dir: dir, FsyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, tmp := range temps {
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Errorf("%s survived Open (stat err %v)", filepath.Base(tmp), err)
+		}
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("Open changed a.jnl:\n got: %s\nwant: %s", after, before)
+	}
+	ids, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 1 || ids[0] != "a" {
+		t.Fatalf("List = %v, want [a]", ids)
 	}
 }
 

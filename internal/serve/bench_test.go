@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"net/http"
 	"testing"
 
 	"laermoe/internal/trace"
@@ -103,6 +105,42 @@ func BenchmarkObserveDelta(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sess.observe(ObserveRequest{Epoch: 1 + i, RoutingDelta: deltas[i%2]}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkJournalReplay times a daemon boot over a journal directory: New
+// replays every journaled session, then Shutdown closes the store. The
+// directory is built once, outside the timer — three sessions, each one
+// epoch past a state checkpoint — and a boot leaves it as it found it, so
+// every op replays the same bytes.
+func BenchmarkJournalReplay(b *testing.B) {
+	opts := Options{JournalDir: b.TempDir(), SnapshotEvery: 2}
+	srv, c := newTestServer(b, opts)
+	drift := trace.DriftConfig{Model: trace.DriftMigration}
+	policies := []string{"warm", "predictive", "static"}
+	for _, policy := range policies {
+		var info SessionInfo
+		c.do("POST", "/v1/sessions", quickSpec(policy), http.StatusCreated, &info)
+		for _, obs := range observationStream(b, info, 3, 4, drift) {
+			c.do("POST", "/v1/sessions/"+info.ID+"/observe", ObserveRequest{Routing: obs}, http.StatusOK, nil)
+		}
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := New(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := s.metrics.sessionsReplayed.Load(); got != uint64(len(policies)) {
+			b.Fatalf("boot replayed %d sessions, want %d", got, len(policies))
+		}
+		if err := s.Shutdown(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -122,7 +122,15 @@ type stateRecord struct {
 // from New, before the server accepts requests or starts the janitor, so
 // it touches server state without locking. Only a store-level failure
 // (unreadable directory) is an error; a session whose journal is corrupt
-// or whose replay diverges is dropped and counted, and the boot proceeds.
+// or whose replay diverges (or panics) is dropped and counted, and the
+// boot proceeds.
+//
+// Sessions share no planning state, so they replay concurrently on the
+// shared pool; each replaying session's per-layer solves draw helpers
+// from the same budget and run inline once it is taken. Outcomes are kept
+// by index and applied afterwards in id order, so the restored sessions,
+// counters, removed journals and log lines match a serial replay at any
+// budget.
 func (s *Server) replayJournal() error {
 	ids, err := s.store.List()
 	if err != nil {
@@ -133,10 +141,24 @@ func (s *Server) replayJournal() error {
 	}
 	sort.Strings(ids)
 	start := time.Now()
+	sessions := make([]*session, len(ids))
+	errs := make([]error, len(ids))
+	// The closure never fails the fan-out, so ForEach has no error to
+	// return: it stops launching indices after a failure, and one bad
+	// journal must not keep the rest from replaying.
+	_ = s.pool.ForEach(len(ids), func(i int) error {
+		defer func() {
+			if r := recover(); r != nil {
+				errs[i] = fmt.Errorf("replay panicked: %v", r)
+			}
+		}()
+		sessions[i], errs[i] = s.replaySession(ids[i])
+		return nil
+	})
 	var maxSeq uint64
 	dropped := 0
-	for _, id := range ids {
-		sess, err := s.replaySession(id)
+	for i, id := range ids {
+		sess, err := sessions[i], errs[i]
 		if err != nil {
 			s.metrics.replayFailed()
 			s.logf("session %s: journal replay failed: %v (dropping journal)", id, err)

@@ -390,3 +390,147 @@ func TestJournalTornTailRecovers(t *testing.T) {
 	bc.do("POST", "/v1/sessions/"+info.ID+"/observe",
 		ObserveRequest{Routing: stream[1]}, http.StatusOK, nil)
 }
+
+// TestJournalReplayConcurrentMatchesSerial: boot replay fans sessions out
+// across the shared pool and applies the outcomes in id order afterwards,
+// so a boot at Parallelism 4 restores exactly what a boot at Parallelism 1
+// does — failures included. Two journals are tampered: the one whose id
+// sorts first, which a fan-out that stopped at the first failure would
+// leave every later session unreplayed behind, and one in the middle.
+func TestJournalReplayConcurrentMatchesSerial(t *testing.T) {
+	const sessions = 12
+	policies := []string{"warm", "predictive", "static"}
+	drift := trace.DriftConfig{Model: trace.DriftMigration}
+	dir := t.TempDir()
+	a, ac := newTestServer(t, Options{JournalDir: dir, SnapshotEvery: 2})
+	next := make(map[string][][][]int, sessions) // each session's next observation
+	for i := 0; i < sessions; i++ {
+		spec := quickSpec(policies[i%len(policies)])
+		spec.Seed = int64(100 + i)
+		var info SessionInfo
+		ac.do("POST", "/v1/sessions", spec, http.StatusCreated, &info)
+		// One to three epochs: with SnapshotEvery 2 some journals end on
+		// a compaction, some carry a tail past one, some were never
+		// compacted; odd sessions post every epoch after the first as a
+		// routing_delta.
+		epochs := 1 + i%3
+		stream := observationStream(t, info, epochs+1, 4, drift)
+		for e := 0; e < epochs; e++ {
+			req := ObserveRequest{Routing: stream[e]}
+			if e > 0 && i%2 == 1 {
+				req = ObserveRequest{Epoch: e, RoutingDelta: wireDeltas(t, stream[e-1], stream[e])}
+			}
+			ac.do("POST", "/v1/sessions/"+info.ID+"/observe", req, http.StatusOK, nil)
+		}
+		next[info.ID] = stream[epochs]
+	}
+	var before struct {
+		Sessions []SessionInfo `json:"sessions"`
+	}
+	ac.do("GET", "/v1/sessions", nil, http.StatusOK, &before)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := a.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// Ids run s-1..s-12, so s-1 sorts first and s-4 sits in the middle of
+	// the id order. s-4 ran a single epoch, so its journal still holds
+	// epoch 0's decision for the divergence tamper.
+	tamper := func(id, old, new string) {
+		t.Helper()
+		path := filepath.Join(dir, id+".jnl")
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tampered := bytes.Replace(raw, []byte(old), []byte(new), 1)
+		if bytes.Equal(tampered, raw) {
+			t.Fatalf("tamper target %s not found in %s", old, id)
+		}
+		if err := os.WriteFile(path, tampered, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := []string{"s-1", "s-4"}
+	tamper(bad[0], `"k":"open"`, `"k":"oper"`)
+	tamper(bad[1], `"epoch":0`, `"epoch":9`)
+
+	type boot struct {
+		dir     string
+		srv     *Server
+		c       *testClient
+		infos   []SessionInfo
+		digests map[string]uint64
+	}
+	boots := []*boot{{dir: t.TempDir()}, {dir: t.TempDir()}}
+	for k, b := range boots {
+		if err := os.CopyFS(b.dir, os.DirFS(dir)); err != nil {
+			t.Fatal(err)
+		}
+		b.srv, b.c = newTestServer(t, Options{JournalDir: b.dir, SnapshotEvery: 2, Parallelism: []int{1, 4}[k]})
+		var list struct {
+			Sessions []SessionInfo `json:"sessions"`
+		}
+		b.c.do("GET", "/v1/sessions", nil, http.StatusOK, &list)
+		b.infos = list.Sessions
+		b.digests = make(map[string]uint64, len(b.infos))
+		for _, info := range b.infos {
+			b.srv.mu.Lock()
+			sess := b.srv.sessions[info.ID]
+			b.srv.mu.Unlock()
+			sess.mu.Lock()
+			b.digests[info.ID] = sess.core.StateDigest()
+			sess.mu.Unlock()
+		}
+		replayed, failures := b.srv.metrics.sessionsReplayed.Load(), b.srv.metrics.replayFailures.Load()
+		if replayed != sessions-2 || failures != 2 {
+			t.Fatalf("Parallelism %d: replay metrics %d restored, %d failed; want %d, 2",
+				b.srv.opts.Parallelism, replayed, failures, sessions-2)
+		}
+		for _, id := range bad {
+			if _, err := os.Stat(filepath.Join(b.dir, id+".jnl")); !os.IsNotExist(err) {
+				t.Fatalf("Parallelism %d: tampered journal %s not removed (stat err %v)", b.srv.opts.Parallelism, id, err)
+			}
+		}
+	}
+
+	// Both boots restore exactly the untampered sessions, as they were.
+	var kept []SessionInfo
+	for _, info := range before.Sessions {
+		if info.ID != bad[0] && info.ID != bad[1] {
+			kept = append(kept, info)
+		}
+	}
+	serial, conc := boots[0], boots[1]
+	for _, b := range boots {
+		if len(b.infos) != len(kept) {
+			t.Fatalf("Parallelism %d restored %d sessions, want %d", b.srv.opts.Parallelism, len(b.infos), len(kept))
+		}
+		for i := range kept {
+			if b.infos[i] != kept[i] {
+				t.Fatalf("Parallelism %d restored %+v, want %+v", b.srv.opts.Parallelism, b.infos[i], kept[i])
+			}
+		}
+	}
+	for _, info := range kept {
+		id := info.ID
+		if got, want := conc.digests[id], serial.digests[id]; got != want {
+			t.Fatalf("session %s state digest %016x concurrently, %016x serially", id, got, want)
+		}
+		req := ObserveRequest{Routing: next[id]}
+		var sresp, cresp ObserveResponse
+		serial.c.do("POST", "/v1/sessions/"+id+"/observe", req, http.StatusOK, &sresp)
+		conc.c.do("POST", "/v1/sessions/"+id+"/observe", req, http.StatusOK, &cresp)
+		if got, want := decisionJSON(t, &cresp), decisionJSON(t, &sresp); got != want {
+			t.Fatalf("session %s next decision diverges:\n concurrent: %s\n     serial: %s", id, got, want)
+		}
+	}
+	// Id assignment resumes past the same replayed maximum.
+	var s13, c13 SessionInfo
+	serial.c.do("POST", "/v1/sessions", quickSpec("warm"), http.StatusCreated, &s13)
+	conc.c.do("POST", "/v1/sessions", quickSpec("warm"), http.StatusCreated, &c13)
+	if s13.ID != fmt.Sprintf("s-%d", sessions+1) || c13.ID != s13.ID {
+		t.Fatalf("fresh sessions after replay got ids %s (serial) and %s (concurrent), want s-%d", s13.ID, c13.ID, sessions+1)
+	}
+}

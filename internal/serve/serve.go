@@ -69,7 +69,8 @@ type Options struct {
 	Addr string
 
 	// Parallelism bounds the worker pool shared by every session's
-	// per-layer solves: 0 uses all CPUs.
+	// per-layer solves and by the per-session fan-out of boot replay: 0
+	// uses all CPUs.
 	Parallelism int
 
 	// MaxSessions caps concurrently open sessions (default 64); opening

@@ -22,12 +22,12 @@ import (
 
 // testClient wraps an httptest server with JSON helpers.
 type testClient struct {
-	t    *testing.T
+	t    testing.TB
 	base string
 	c    *http.Client
 }
 
-func newTestServer(t *testing.T, opts Options) (*Server, *testClient) {
+func newTestServer(t testing.TB, opts Options) (*Server, *testClient) {
 	t.Helper()
 	s, err := New(opts)
 	if err != nil {
@@ -104,7 +104,7 @@ func refConfig(policy string, epochs int, drift trace.DriftModel) training.Onlin
 // training.ObservationGenerator, the single source of its constants) and
 // returns each epoch's first iteration's routing (the observation) as
 // wire matrices.
-func observationStream(t *testing.T, info SessionInfo, epochs, itersPerEpoch int, drift trace.DriftConfig) [][][][]int {
+func observationStream(t testing.TB, info SessionInfo, epochs, itersPerEpoch int, drift trace.DriftConfig) [][][][]int {
 	t.Helper()
 	gen, err := training.ObservationGenerator(trace.GeneratorConfig{
 		Devices: info.Devices, Experts: info.Experts, Layers: info.Layers,
