@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build lint vet test race fuzz cover examples-smoke bench bench-hot bench-smoke bench-scale-smoke bench-serve bench-diff bench-baseline profile
+.PHONY: all build lint unimported vet test race fuzz cover examples-smoke bench bench-hot bench-smoke bench-scale-smoke bench-serve bench-diff bench-baseline profile
 
 all: build vet test
 
@@ -12,6 +12,23 @@ lint:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+
+# Fail when an internal package has no importer but itself (its own code,
+# in-package tests and external tests all count as itself): nothing else
+# runs it, yet every refactor has to keep its tests green. The CI lint job
+# runs this. Allow-listed: internal/exact, the exhaustive-search oracle
+# ROADMAP item 2 keeps for checking the planner.
+UNIMPORTED_ALLOW = laermoe/internal/exact
+unimported:
+	@list=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./...) || exit 1; \
+	echo "$$list" | awk -v allow='$(UNIMPORTED_ALLOW)' ' \
+		{ pkg[$$1] = 1; for (i = 2; i <= NF; i++) if ($$i != $$1) used[$$i] = 1 } \
+		END { \
+			split(allow, a, " "); for (i in a) used[a[i]] = 1; \
+			bad = 0; \
+			for (p in pkg) if (p ~ /\/internal\// && !(p in used)) { print "unimported internal package: " p; bad = 1 } \
+			exit bad \
+		}'
 
 build:
 	$(GO) build ./...
@@ -71,7 +88,7 @@ bench:
 # reusing its retained routing matrices; an executor iteration prices
 # each layer's token All-to-All once).
 bench-hot:
-	$(GO) test -run=NONE -bench=. -benchmem ./internal/fsep/ ./internal/sim/ ./internal/executor/ ./internal/planner/ ./internal/trace/ ./internal/forecast/ ./internal/serve/
+	$(GO) test -run=NONE -bench=. -benchmem ./internal/sim/ ./internal/executor/ ./internal/planner/ ./internal/trace/ ./internal/forecast/ ./internal/serve/
 
 # The CI allocation-regression smoke: same packages as bench-hot at a
 # fixed small iteration budget, so the alloc columns are stable enough to
@@ -79,7 +96,7 @@ bench-hot:
 # smoke so the baseline carries the large-shape row too.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=100x -benchmem \
-		./internal/fsep/ ./internal/sim/ ./internal/executor/ ./internal/planner/ ./internal/trace/ ./internal/forecast/ ./internal/serve/
+		./internal/sim/ ./internal/executor/ ./internal/planner/ ./internal/trace/ ./internal/forecast/ ./internal/serve/
 	@$(MAKE) --no-print-directory bench-scale-smoke
 
 # One incremental epoch of the N=4096-GPU x E=16384-expert frontier cell

@@ -116,6 +116,45 @@ func TestPrefetchBytesFormula(t *testing.T) {
 	}
 }
 
+// TestUnshardVolumesMatchFormula builds one FSEP unshard chunk by chunk:
+// every expert is split into N equal chunks with chunk k held by device k,
+// and every device restores C experts, receiving chunk k of each from
+// device k. Each device's send volume must equal V_fsep =
+// C*(N-1)/N*Ψ_expert (Sec. 3.1), and so must its receive volume — the
+// gradient reshard is the same traffic transposed.
+func TestUnshardVolumesMatchFormula(t *testing.T) {
+	cm := defaultModel()
+	n, c := cm.Topo.N(), cm.Arch.ExpertCapacity
+	chunk := float64(cm.Arch.ExpertBytes()) / float64(n)
+	bytes := make([][]float64, n) // bytes[src][dst]
+	for k := range bytes {
+		bytes[k] = make([]float64, n)
+	}
+	for d := 0; d < n; d++ {
+		for r := 0; r < c; r++ {
+			for k := 0; k < n; k++ {
+				if k != d {
+					bytes[k][d] += chunk
+				}
+			}
+		}
+	}
+	want := cm.PrefetchBytesPerDevice()
+	for d := 0; d < n; d++ {
+		var send, recv float64
+		for k := 0; k < n; k++ {
+			send += bytes[d][k]
+			recv += bytes[k][d]
+		}
+		if math.Abs(send-want)/want > 1e-9 {
+			t.Errorf("device %d unshard send %g, want C*(N-1)/N*Ψ = %g", d, send, want)
+		}
+		if math.Abs(recv-want)/want > 1e-9 {
+			t.Errorf("device %d unshard receive %g, want %g", d, recv, want)
+		}
+	}
+}
+
 func TestExpertMigrationBytes(t *testing.T) {
 	cm := defaultModel()
 	if got, want := cm.ExpertMigrationBytes(), 6*float64(model.Mixtral8x7B.ExpertBytes()); got != want {

@@ -94,22 +94,23 @@ type Config struct {
 	Ckpt            bool // recompute expert forward during backward
 
 	Comm CommOpts
-
-	// Fixed overheads (seconds), modelling kernel launches, token
-	// rearrangement and host interactions.
-	DispatcherOverhead float64 // TD decision per layer per micro-batch
-	LayerFixedOverhead float64 // memory ops per layer per micro-batch
-	OptimizerStepTime  float64 // once per iteration
-
-	// ContentionFactor inflates communication that shares the wire with a
-	// concurrent All-to-All (the "A2A slowdown" of Fig. 5a/b/d); 1.0
-	// disables contention modelling.
-	ContentionFactor float64
-
-	// TPEfficiencyLoss is the attention GEMM efficiency penalty per
-	// doubling of TP (smaller per-device matrices reduce MFU).
-	TPEfficiencyLoss float64
 }
+
+// Fixed overheads (seconds), modelling kernel launches, token
+// rearrangement and host interactions.
+const (
+	dispatcherOverhead = 0.25e-3 // TD decision per layer per micro-batch
+	layerFixedOverhead = 0.4e-3  // memory ops per layer per micro-batch
+	optimizerStepTime  = 30e-3   // once per iteration
+)
+
+// contentionFactor inflates communication that shares the wire with a
+// concurrent All-to-All (the "A2A slowdown" of Fig. 5a/b/d).
+const contentionFactor = 1.5
+
+// tpEfficiencyLoss is the attention GEMM efficiency penalty per doubling
+// of TP (smaller per-device matrices reduce MFU).
+const tpEfficiencyLoss = 0.25
 
 // Defaults fills unset tunables with calibrated values.
 func (c Config) Defaults() Config {
@@ -121,21 +122,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.ContextLen == 0 {
 		c.ContextLen = 8192
-	}
-	if c.DispatcherOverhead == 0 {
-		c.DispatcherOverhead = 0.25e-3
-	}
-	if c.LayerFixedOverhead == 0 {
-		c.LayerFixedOverhead = 0.4e-3
-	}
-	if c.OptimizerStepTime == 0 {
-		c.OptimizerStepTime = 30e-3
-	}
-	if c.ContentionFactor == 0 {
-		c.ContentionFactor = 1.5
-	}
-	if c.TPEfficiencyLoss == 0 {
-		c.TPEfficiencyLoss = 0.25
 	}
 	return c
 }
@@ -334,10 +320,10 @@ func (b *builder) gradSyncContended() bool {
 func (b *builder) a2aFactor(backward bool) float64 {
 	f := 1.0
 	if b.prefetchContended() {
-		f = b.cfg.ContentionFactor
+		f = contentionFactor
 	}
 	if backward && b.gradSyncContended() {
-		f = math.Max(f, b.cfg.ContentionFactor)
+		f = math.Max(f, contentionFactor)
 	}
 	return f
 }
@@ -349,7 +335,7 @@ func (b *builder) attnTime(dev int, backward bool) float64 {
 	tokens := b.cfg.TokensPerDevice * tp // tokens per TP group micro-batch
 	t := b.cm.AttentionComputeTime(dev, tokens, tp)
 	if tp > 1 {
-		t *= 1 + b.cfg.TPEfficiencyLoss*math.Log2(float64(tp))
+		t *= 1 + tpEfficiencyLoss*math.Log2(float64(tp))
 	}
 	if backward {
 		t *= costmodel.BackwardFactor
@@ -536,7 +522,7 @@ func (b *builder) forward(layers []LayerPlan) {
 	prefetchTimeE := b.expertPrefetchTime()
 	prefetchTimeA := b.attnPrefetchTime()
 	if b.prefetchContended() {
-		prefetchTimeE *= cfg.ContentionFactor
+		prefetchTimeE *= contentionFactor
 	}
 
 	// peReady[dev] is the prefetch task that must complete before the
@@ -581,9 +567,9 @@ func (b *builder) forward(layers []LayerPlan) {
 			gate := b.eng.Compute(names.gate, dev, sim.StreamCompute, sim.CatGate,
 				b.cm.GateComputeTime(dev, cfg.TokensPerDevice), attn[dev])
 			fixed := b.eng.Compute(names.mem, dev, sim.StreamCompute, sim.CatOther,
-				cfg.LayerFixedOverhead, gate)
+				layerFixedOverhead, gate)
 			td[dev] = b.eng.Compute(names.td, dev, sim.StreamCompute, sim.CatDispatcher,
-				cfg.DispatcherOverhead, fixed)
+				dispatcherOverhead, fixed)
 		}
 
 		// Token dispatch All-to-All (S3).
@@ -652,12 +638,12 @@ func (b *builder) backward(layers []LayerPlan, lastMicroBatch bool) {
 	cfg := b.cfg
 	prefetchTimeE := b.expertPrefetchTime()
 	if b.prefetchContended() {
-		prefetchTimeE *= cfg.ContentionFactor
+		prefetchTimeE *= contentionFactor
 	}
 	syncTime := b.gradSyncTime()
 	nonExpertSync := b.nonExpertGradSyncTime()
 	if b.gradSyncContended() {
-		syncTime *= cfg.ContentionFactor
+		syncTime *= contentionFactor
 	}
 
 	syncEveryMB := cfg.Paradigm != ParadigmResident
@@ -784,7 +770,7 @@ func (b *builder) finish(layers []LayerPlan) {
 	}
 	for dev := 0; dev < b.n; dev++ {
 		id := b.eng.Compute("optimizer", dev, sim.StreamCompute, sim.CatOther,
-			b.cfg.OptimizerStepTime+extra, b.lastS1[dev])
+			optimizerStepTime+extra, b.lastS1[dev])
 		b.lastS1[dev] = id
 	}
 }

@@ -194,7 +194,6 @@ func TestMicroBatchesScaleTime(t *testing.T) {
 	times := make([]float64, 4)
 	for mb := 1; mb <= 3; mb++ {
 		cfg := tinyConfig(topo)
-		cfg.OptimizerStepTime = 1e-6 // keep the per-iteration constant negligible
 		cfg.MicroBatches = mb
 		it, err := RunIteration(cfg, plans)
 		if err != nil {

@@ -37,38 +37,10 @@ func SynthRouting(loads []float64, devices, perDevice int) (*trace.RoutingMatrix
 			}
 		}
 	}
-	row := apportion(p, perDevice)
+	row := trace.Apportion(p, perDevice)
 	m := trace.NewRoutingMatrix(devices, e)
 	for i := 0; i < devices; i++ {
 		copy(m.R[i], row)
 	}
 	return m, nil
-}
-
-// apportion distributes total assignments proportionally to p with exact
-// sum (largest-remainder method; stable index tie-break keeps it
-// deterministic). Mirrors the trace generator's sampling arithmetic.
-func apportion(p []float64, total int) []int {
-	n := len(p)
-	out := make([]int, n)
-	fracs := make([]float64, n)
-	assigned := 0
-	for j, pj := range p {
-		exact := pj * float64(total)
-		out[j] = int(exact)
-		assigned += out[j]
-		fracs[j] = exact - float64(out[j])
-	}
-	for assigned < total {
-		best := 0
-		for j := 1; j < n; j++ {
-			if fracs[j] > fracs[best] {
-				best = j
-			}
-		}
-		out[best]++
-		fracs[best] = -1
-		assigned++
-	}
-	return out
 }

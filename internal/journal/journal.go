@@ -2,7 +2,7 @@
 // laer-serve's restartable sessions. Each session owns one JSON-Lines
 // file under the store directory: the opening spec, every observation and
 // topology event the session absorbed, every decision it issued, and
-// periodic planner-state snapshots. Because the decision core
+// periodic planner-state checkpoints. Because the decision core
 // (training.OnlinePlanner) is deterministic, a restarted daemon rebuilds
 // each session by re-feeding its journal and lands on byte-identical
 // planner state — the journal records decisions too, so the replay can
@@ -49,9 +49,6 @@ const (
 	// KindTopologyDecision is the forced recovery re-layout a topology
 	// update produced.
 	KindTopologyDecision Kind = "topology-decision"
-	// KindSnapshot is a periodic planner-state digest checkpoint; replay
-	// re-derives the digest and fails loudly on divergence.
-	KindSnapshot Kind = "snapshot"
 	// KindState is a full planner-state checkpoint: enough to rebuild the
 	// session without the records it replaces. Compaction (Rewrite)
 	// truncates a session's replayed history down to its opening record

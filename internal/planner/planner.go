@@ -21,9 +21,8 @@ type Planner struct {
 	// matrices before solving; 1.0 plans purely from the last iteration.
 	HistoryAlpha float64
 
-	history []*trace.RoutingMatrix // EMA state per layer (scaled floats kept as rounded ints)
-	ema     [][][]float64          // raw EMA values per layer [n][e]
-	layouts []*Layout              // layout in force per layer
+	ema     [][][]float64 // raw EMA values per layer [n][e]
+	layouts []*Layout     // layout in force per layer
 }
 
 // New builds a planner with an initial static-EP layout per layer, the

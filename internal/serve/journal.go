@@ -3,12 +3,12 @@
 // With Options.JournalDir set, every session appends its lifecycle to an
 // internal/journal store — the opening spec, each observation/decision
 // pair, each topology event/decision pair, and periodic planner-state
-// digest snapshots. On boot the daemon replays every journal it finds:
+// checkpoints. On boot the daemon replays every journal it finds:
 // it rebuilds the session from the journaled spec and re-feeds the
 // observations and topology events through the planning core. Because the
 // core is deterministic, the recomputed decisions must be byte-identical
 // to the journaled ones — replay verifies that record by record, and
-// verifies the state digest at each snapshot, so a corrupted journal or a
+// verifies the state digest at each checkpoint, so a corrupted journal or a
 // decision-moving code change fails loudly at boot instead of silently
 // resurrecting a diverged session. A session that fails verification is
 // dropped (journal removed, failure counted); the daemon still boots.
@@ -93,17 +93,6 @@ type topologyDecisionRecord struct {
 	Decisions             []training.LayerDecision `json:"decisions"`
 	AvailableDevices      int                      `json:"available_devices"`
 	RecoveryChargeSeconds float64                  `json:"recovery_charge_seconds"`
-}
-
-// snapshotRecord is a KindSnapshot payload: a digest-only planner-state
-// checkpoint. Journals written before compaction carry these; replay
-// verifies the digest but still needs the full record history. New
-// checkpoints are stateRecords.
-type snapshotRecord struct {
-	Epochs           int    `json:"epochs"`
-	Digest           string `json:"digest"`
-	AvailableDevices int    `json:"available_devices"`
-	FaultEvents      int    `json:"fault_events"`
 }
 
 // stateRecord is a KindState payload: a full planner-state checkpoint
@@ -308,17 +297,6 @@ func (s *Server) replaySession(id string) (*session, error) {
 				return nil, fmt.Errorf("record %d: replayed recovery decision diverges from journal", rec.Seq)
 			}
 			pendingTopo = nil
-		case journal.KindSnapshot:
-			var snap snapshotRecord
-			if err := rec.Decode(&snap); err != nil {
-				return nil, err
-			}
-			if snap.Epochs != sess.info.Epochs {
-				return nil, fmt.Errorf("record %d: snapshot at epoch %d but replay is at %d", rec.Seq, snap.Epochs, sess.info.Epochs)
-			}
-			if digest := fmt.Sprintf("%016x", sess.core.StateDigest()); digest != snap.Digest {
-				return nil, fmt.Errorf("record %d: state digest %s diverges from snapshot %s", rec.Seq, digest, snap.Digest)
-			}
 		case journal.KindState:
 			var st stateRecord
 			if err := rec.Decode(&st); err != nil {

@@ -245,47 +245,59 @@ func TestJournalClosedSessionsStayClosed(t *testing.T) {
 }
 
 // TestJournalCorruptionDropsSession: a journal whose records were
-// tampered with (here: the open record's kind) fails replay; the daemon
-// still boots, counts the failure, and deletes the bad journal so the
-// next boot is clean.
+// tampered with fails replay; the daemon still boots, counts the failure,
+// and deletes the bad journal so the next boot is clean. Two same-length
+// byte tampers: the open record's kind, which fails before replay starts,
+// and a decision record rewritten to the retired "snapshot" kind, which
+// reaches replay's unknown-kind branch.
 func TestJournalCorruptionDropsSession(t *testing.T) {
-	dir := t.TempDir()
-	jopts := Options{JournalDir: dir}
-	a, ac := newTestServer(t, jopts)
-	var info SessionInfo
-	ac.do("POST", "/v1/sessions", quickSpec("warm"), http.StatusCreated, &info)
-	stream := observationStream(t, info, 1, 4, trace.DriftConfig{Model: trace.DriftNone})
-	ac.do("POST", "/v1/sessions/"+info.ID+"/observe",
-		ObserveRequest{Routing: stream[0]}, http.StatusOK, nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := a.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name     string
+		old, new string
+	}{
+		{"open-kind", `"k":"open"`, `"k":"oper"`},
+		{"retired-snapshot-kind", `"k":"decision"`, `"k":"snapshot"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			jopts := Options{JournalDir: dir}
+			a, ac := newTestServer(t, jopts)
+			var info SessionInfo
+			ac.do("POST", "/v1/sessions", quickSpec("warm"), http.StatusCreated, &info)
+			stream := observationStream(t, info, 1, 4, trace.DriftConfig{Model: trace.DriftNone})
+			ac.do("POST", "/v1/sessions/"+info.ID+"/observe",
+				ObserveRequest{Routing: stream[0]}, http.StatusOK, nil)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := a.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
 
-	// Same-length byte tamper: the journal layer still parses every line
-	// (seqs intact), but the serve layer's replay must reject the stream.
-	path := filepath.Join(dir, info.ID+".jnl")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tampered := bytes.Replace(raw, []byte(`"k":"open"`), []byte(`"k":"oper"`), 1)
-	if bytes.Equal(tampered, raw) {
-		t.Fatal("tamper target not found in journal")
-	}
-	if err := os.WriteFile(path, tampered, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			// The journal layer still parses every line (seqs intact), but
+			// the serve layer's replay must reject the stream.
+			path := filepath.Join(dir, info.ID+".jnl")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tampered := bytes.Replace(raw, []byte(tc.old), []byte(tc.new), 1)
+			if bytes.Equal(tampered, raw) || len(tampered) != len(raw) {
+				t.Fatal("tamper target not found in journal")
+			}
+			if err := os.WriteFile(path, tampered, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	b, bc := newTestServer(t, jopts)
-	bc.do("GET", "/v1/sessions/"+info.ID, nil, http.StatusNotFound, nil)
-	replayed, failures := b.metrics.sessionsReplayed.Load(), b.metrics.replayFailures.Load()
-	if replayed != 0 || failures != 1 {
-		t.Fatalf("replay metrics: %d restored, %d failed", replayed, failures)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("failed journal not removed (stat err %v)", err)
+			b, bc := newTestServer(t, jopts)
+			bc.do("GET", "/v1/sessions/"+info.ID, nil, http.StatusNotFound, nil)
+			replayed, failures := b.metrics.sessionsReplayed.Load(), b.metrics.replayFailures.Load()
+			if replayed != 0 || failures != 1 {
+				t.Fatalf("replay metrics: %d restored, %d failed", replayed, failures)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("failed journal not removed (stat err %v)", err)
+			}
+		})
 	}
 }
 

@@ -77,10 +77,6 @@ type Options struct {
 	// beyond the cap returns 429.
 	MaxSessions int
 
-	// MaxBodyBytes caps request bodies (default 64 MiB — a 64-layer
-	// observation for the large-E synthetic shapes fits comfortably).
-	MaxBodyBytes int64
-
 	// SessionTTL evicts sessions idle for longer than this duration —
 	// their solver arenas and forecaster state are the daemon's dominant
 	// memory, and an abandoned client must not pin them forever. Requests
@@ -98,16 +94,17 @@ type Options struct {
 	FsyncInterval time.Duration
 	SnapshotEvery int
 
-	// StreamBuffer bounds each SSE subscriber's event queue (default 32);
-	// a consumer that falls that far behind is disconnected rather than
-	// allowed to slow planning. StreamHeartbeat is the idle-connection
-	// keepalive cadence (default 15s).
-	StreamBuffer    int
+	// StreamHeartbeat is the SSE idle-connection keepalive cadence
+	// (default 15s).
 	StreamHeartbeat time.Duration
 
 	// Log receives operational messages (nil logs nothing).
 	Log *log.Logger
 }
+
+// maxBodyBytes caps request bodies: a 64-layer observation for the
+// large-E synthetic shapes fits comfortably in 64 MiB.
+const maxBodyBytes = 64 << 20
 
 func (o Options) withDefaults() Options {
 	if o.Addr == "" {
@@ -116,14 +113,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxSessions == 0 {
 		o.MaxSessions = 64
 	}
-	if o.MaxBodyBytes == 0 {
-		o.MaxBodyBytes = 64 << 20
-	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 16
-	}
-	if o.StreamBuffer == 0 {
-		o.StreamBuffer = 32
 	}
 	if o.StreamHeartbeat == 0 {
 		o.StreamHeartbeat = 15 * time.Second
@@ -394,7 +385,7 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec SessionSpec
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding session spec: %v", err)
 		return
@@ -525,7 +516,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	// delta client is saving. Decode and structural validation both run
 	// before the session mutex: another request's solve never serializes a
 	// herd's JSON parsing behind it.
-	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)}
+	body := &countingReader{r: http.MaxBytesReader(w, r.Body, maxBodyBytes)}
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding observation: %v", err)
 		return
@@ -587,7 +578,7 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.touch()
 	var req TopologyUpdateRequest
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding topology update: %v", err)
 		return

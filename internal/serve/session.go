@@ -270,8 +270,11 @@ type session struct {
 
 	// subs are the session's live SSE subscribers (see stream.go),
 	// guarded by subMu — publishes happen under mu, subscribes don't.
-	subMu sync.Mutex
-	subs  map[*subscriber]struct{}
+	// subsClosed is the reason closeSubscribers ended them ("" while the
+	// session is live).
+	subMu      sync.Mutex
+	subs       map[*subscriber]struct{}
+	subsClosed string
 
 	metrics *recorder
 	logf    func(format string, args ...any)

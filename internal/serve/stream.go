@@ -34,6 +34,11 @@ const (
 	eventShutdown = "shutdown"
 )
 
+// streamBuffer bounds each SSE subscriber's event queue: a consumer that
+// falls that far behind is disconnected rather than allowed to slow
+// planning.
+const streamBuffer = 32
+
 // streamEvent is one marshaled SSE frame awaiting delivery.
 type streamEvent struct {
 	name string
@@ -58,18 +63,25 @@ func (sub *subscriber) stop(reason string) {
 	})
 }
 
-// subscribe registers a new SSE consumer on the session.
+// subscribe registers a new SSE consumer on the session. On a session
+// whose subscribers were already closed it returns one stopped with the
+// same reason: a stream that looked the session up just before a close or
+// eviction still ends with a "closed" event, not heartbeats forever.
 func (s *session) subscribe(buffer int) *subscriber {
 	sub := &subscriber{
 		ch:   make(chan streamEvent, buffer),
 		quit: make(chan struct{}),
 	}
 	s.subMu.Lock()
+	defer s.subMu.Unlock()
+	if s.subsClosed != "" {
+		sub.stop(s.subsClosed)
+		return sub
+	}
 	if s.subs == nil {
 		s.subs = make(map[*subscriber]struct{})
 	}
 	s.subs[sub] = struct{}{}
-	s.subMu.Unlock()
 	return sub
 }
 
@@ -119,9 +131,10 @@ func (s *session) publishLocked(name string, v any) {
 }
 
 // closeSubscribers ends every subscription with the given reason — the
-// session close/evict path.
+// session close/evict path — and records the reason for late subscribers.
 func (s *session) closeSubscribers(reason string) {
 	s.subMu.Lock()
+	s.subsClosed = reason
 	for sub := range s.subs {
 		sub.stop(reason)
 		delete(s.subs, sub)
@@ -153,7 +166,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.touch()
-	sub := sess.subscribe(s.opts.StreamBuffer)
+	sub := sess.subscribe(streamBuffer)
 	defer sess.unsubscribe(sub)
 	s.metrics.streamOpened()
 	defer s.metrics.streamClosed()

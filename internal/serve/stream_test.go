@@ -280,3 +280,25 @@ func TestSlowSubscriberDropped(t *testing.T) {
 		t.Fatalf("dropped subscriber still receiving (%d queued)", len(sub.ch))
 	}
 }
+
+// TestSubscribeAfterCloseIsStopped: a stream handler that looked its
+// session up just before a DELETE or eviction subscribes after
+// closeSubscribers ran. Nothing will ever publish to or stop that
+// subscriber, so subscribe must hand it back already stopped with the
+// close reason — the client gets the hello and then "closed".
+func TestSubscribeAfterCloseIsStopped(t *testing.T) {
+	sess, err := newSession("s-1", 1, SessionSpec{Spec: sessionspec.Spec{IterationsPerEpoch: 4}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.closeSubscribers("closed")
+	sub := sess.subscribe(streamBuffer)
+	select {
+	case <-sub.quit:
+	default:
+		t.Fatal("subscriber to a closed session was left open")
+	}
+	if sub.reason != "closed" {
+		t.Fatalf("stop reason %q, want closed", sub.reason)
+	}
+}

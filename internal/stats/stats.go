@@ -58,20 +58,6 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	mu := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - mu
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Percentile returns the p-th percentile (0..100) of xs using linear
 // interpolation between closest ranks. It copies xs and leaves it unchanged.
 // A NaN anywhere in xs yields NaN: NaN compares false against everything,
@@ -115,75 +101,16 @@ func Imbalance(xs []float64) float64 {
 	return Max(xs) / mu
 }
 
-// Gini returns the Gini coefficient of xs in [0,1); 0 = perfectly equal.
-// The coefficient is only defined for non-negative inputs, and a NaN would
-// scramble the sort ordering it depends on, so both cases return NaN
-// explicitly instead of a silently wrong in-range value.
-func Gini(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	for _, x := range xs {
-		if math.IsNaN(x) || x < 0 {
-			return math.NaN()
-		}
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	var cum, total float64
-	for i, x := range sorted {
-		cum += x * float64(i+1)
-		total += x
-	}
-	if total == 0 {
-		return 0
-	}
-	return (2*cum)/(float64(n)*total) - float64(n+1)/float64(n)
-}
-
-// EMA is an exponential moving average with smoothing factor alpha in
-// (0,1]; larger alpha weights recent observations more.
-type EMA struct {
-	Alpha float64
-	value float64
-	init  bool
-}
-
-// NewEMA returns an EMA with the given smoothing factor. Alpha must lie in
-// (0,1]: alpha <= 0 freezes the average (or oscillates for negative
-// values) and alpha > 1 diverges, so anything outside the interval is a
-// configuration error, not an average.
-func NewEMA(alpha float64) (*EMA, error) {
-	if err := validAlpha(alpha); err != nil {
-		return nil, err
-	}
-	return &EMA{Alpha: alpha}, nil
-}
-
+// validAlpha checks an EMA smoothing factor. Alpha must lie in (0,1]:
+// alpha <= 0 freezes the average (or oscillates for negative values) and
+// alpha > 1 diverges, so anything outside the interval is a configuration
+// error, not an average.
 func validAlpha(alpha float64) error {
 	if math.IsNaN(alpha) || alpha <= 0 || alpha > 1 {
 		return fmt.Errorf("stats: EMA smoothing factor %g outside (0,1]", alpha)
 	}
 	return nil
 }
-
-// Observe folds x into the average and returns the updated value.
-func (e *EMA) Observe(x float64) float64 {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return x
-	}
-	e.value = e.Alpha*x + (1-e.Alpha)*e.value
-	return e.value
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EMA) Value() float64 { return e.value }
-
-// Initialized reports whether at least one observation has been folded in.
-func (e *EMA) Initialized() bool { return e.init }
 
 // VectorEMA maintains an element-wise EMA over fixed-length vectors, used
 // to smooth historical routing loads for the asynchronous planner.
@@ -194,7 +121,7 @@ type VectorEMA struct {
 }
 
 // NewVectorEMA returns a vector EMA of the given length. Alpha must lie in
-// (0,1], as for NewEMA.
+// (0,1].
 func NewVectorEMA(alpha float64, n int) (*VectorEMA, error) {
 	if err := validAlpha(alpha); err != nil {
 		return nil, err

@@ -27,16 +27,6 @@ func TestMeanSumMaxMin(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if got := StdDev([]float64{2, 2, 2}); got != 0 {
-		t.Errorf("StdDev of constants = %g, want 0", got)
-	}
-	// Population std of {1,3} is 1.
-	if got := StdDev([]float64{1, 3}); !almost(got, 1, 1e-12) {
-		t.Errorf("StdDev = %g, want 1", got)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{10, 20, 30, 40}
 	cases := []struct{ p, want float64 }{
@@ -54,8 +44,8 @@ func TestPercentile(t *testing.T) {
 }
 
 // NaN compares false against everything, so before the fix a NaN in the
-// input scrambled sort.Float64s ordering and Percentile/Gini returned an
-// arbitrary in-range value. Both must propagate NaN explicitly.
+// input scrambled sort.Float64s ordering and Percentile returned an
+// arbitrary in-range value. It must propagate NaN explicitly.
 func TestPercentileNaN(t *testing.T) {
 	if got := Percentile([]float64{1, math.NaN(), 3}, 50); !math.IsNaN(got) {
 		t.Errorf("Percentile with NaN input = %g, want NaN", got)
@@ -65,30 +55,14 @@ func TestPercentileNaN(t *testing.T) {
 	}
 }
 
-func TestGiniNaNAndNegative(t *testing.T) {
-	if got := Gini([]float64{1, math.NaN(), 3}); !math.IsNaN(got) {
-		t.Errorf("Gini with NaN input = %g, want NaN", got)
-	}
-	if got := Gini([]float64{2, -1, 3}); !math.IsNaN(got) {
-		t.Errorf("Gini with negative input = %g, want NaN", got)
-	}
-	// Clean inputs keep the documented contract.
-	if got := Gini([]float64{1, 1}); !almost(got, 0, 1e-12) {
-		t.Errorf("clean Gini = %g, want 0", got)
-	}
-}
-
 func TestEMAAlphaValidation(t *testing.T) {
 	for _, alpha := range []float64{0, -0.5, 1.5, math.NaN()} {
-		if _, err := NewEMA(alpha); err == nil {
-			t.Errorf("NewEMA(%g) accepted an invalid smoothing factor", alpha)
-		}
 		if _, err := NewVectorEMA(alpha, 3); err == nil {
 			t.Errorf("NewVectorEMA(%g) accepted an invalid smoothing factor", alpha)
 		}
 	}
-	if _, err := NewEMA(1); err != nil {
-		t.Errorf("NewEMA(1) rejected the boundary alpha: %v", err)
+	if _, err := NewVectorEMA(1, 3); err != nil {
+		t.Errorf("NewVectorEMA(1, 3) rejected the boundary alpha: %v", err)
 	}
 	if _, err := NewVectorEMA(0.3, 0); err == nil {
 		t.Error("NewVectorEMA accepted a zero length")
@@ -129,33 +103,6 @@ func TestImbalance(t *testing.T) {
 	}
 }
 
-func TestGini(t *testing.T) {
-	if got := Gini([]float64{1, 1, 1, 1}); !almost(got, 0, 1e-12) {
-		t.Errorf("equal Gini = %g, want 0", got)
-	}
-	// All mass on one element of n → (n-1)/n.
-	if got := Gini([]float64{0, 0, 0, 8}); !almost(got, 0.75, 1e-12) {
-		t.Errorf("concentrated Gini = %g, want 0.75", got)
-	}
-}
-
-func TestGiniBounds(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v)
-		}
-		g := Gini(xs)
-		return g >= -1e-12 && g < 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestImbalanceAtLeastOne(t *testing.T) {
 	f := func(raw []uint16) bool {
 		xs := make([]float64, len(raw))
@@ -166,25 +113,6 @@ func TestImbalanceAtLeastOne(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestEMA(t *testing.T) {
-	e, err := NewEMA(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Initialized() {
-		t.Error("fresh EMA reports initialized")
-	}
-	if got := e.Observe(10); got != 10 {
-		t.Errorf("first observation = %g, want 10", got)
-	}
-	if got := e.Observe(20); !almost(got, 15, 1e-12) {
-		t.Errorf("second observation = %g, want 15", got)
-	}
-	if !e.Initialized() || e.Value() != 15 {
-		t.Error("EMA state inconsistent")
 	}
 }
 

@@ -75,6 +75,6 @@ func BenchmarkApportion(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		apportion(p, 8192)
+		Apportion(p, 8192)
 	}
 }

@@ -255,7 +255,7 @@ func (g *RequestGenerator) StepInto(dst []*RoutingMatrix) ([]*RoutingMatrix, *Re
 			// The device's perturbed routing distribution, as in training
 			// synthesis, turned into a CDF for inversion sampling.
 			for j := range sc.probs {
-				sc.probs[j] = sc.base[j] + rng.NormFloat64()*cfg.DeviceNoise
+				sc.probs[j] = sc.base[j] + rng.NormFloat64()*deviceNoise
 			}
 			softmaxInto(sc.probs, sc.probs)
 			cum := 0.0

@@ -120,34 +120,3 @@ func ReadAll(r io.Reader) ([][]*RoutingMatrix, error) {
 	}
 	return out, nil
 }
-
-// Replayer serves matrices from a loaded trace with the same Step API as
-// Generator, allowing recorded workloads to drive any simulation. When the
-// trace is exhausted it wraps around to the beginning.
-type Replayer struct {
-	iters [][]*RoutingMatrix
-	next  int
-}
-
-// NewReplayer wraps a loaded trace. It requires at least one iteration.
-func NewReplayer(iters [][]*RoutingMatrix) (*Replayer, error) {
-	if len(iters) == 0 {
-		return nil, fmt.Errorf("trace: empty trace")
-	}
-	for i, layers := range iters {
-		if len(layers) == 0 {
-			return nil, fmt.Errorf("trace: iteration %d has no layers", i)
-		}
-	}
-	return &Replayer{iters: iters}, nil
-}
-
-// Step returns the next iteration's per-layer matrices.
-func (r *Replayer) Step() []*RoutingMatrix {
-	ms := r.iters[r.next%len(r.iters)]
-	r.next++
-	return ms
-}
-
-// Iterations returns the number of distinct iterations in the trace.
-func (r *Replayer) Iterations() int { return len(r.iters) }

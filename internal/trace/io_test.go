@@ -104,30 +104,6 @@ func TestWriterRejectsInvalidMatrix(t *testing.T) {
 	}
 }
 
-func TestReplayer(t *testing.T) {
-	g := mustGen(t, baseConfig())
-	iters := [][]*RoutingMatrix{g.Step(), g.Step()}
-	rep, err := NewReplayer(iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Iterations() != 2 {
-		t.Errorf("Iterations = %d, want 2", rep.Iterations())
-	}
-	first := rep.Step()
-	rep.Step()
-	wrapped := rep.Step() // wraps to iteration 0
-	if first[0] != wrapped[0] {
-		t.Error("replayer did not wrap around")
-	}
-	if _, err := NewReplayer(nil); err == nil {
-		t.Error("empty trace accepted")
-	}
-	if _, err := NewReplayer([][]*RoutingMatrix{nil}); err == nil {
-		t.Error("iteration without layers accepted")
-	}
-}
-
 // TestReadAllRejectsNonContiguousIterations: records must stay
 // iteration-major — both forward jumps and regressions to an earlier
 // iteration are corrupt, not mergeable.

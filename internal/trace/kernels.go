@@ -1,5 +1,5 @@
-// Inner-loop kernels of layer synthesis: the remainder top-k selection
-// behind largest-remainder apportioning and the float32 softmax variant.
+// Inner-loop kernel of layer synthesis: the remainder top-k selection
+// behind largest-remainder apportioning.
 //
 // apportionInto historically sorted all E remainder entries to pick the k
 // largest — O(E log E) with E=16384 at the scale shapes. selectTopRems
@@ -9,8 +9,6 @@
 // bit-identical to the sorted implementation — only the order inside the
 // selected prefix differs, and the increment loop is order-insensitive.
 package trace
-
-import "math"
 
 // remLess is the apportion priority order: larger fraction first, index
 // ascending as the deterministic tie-break. Strict total order because
@@ -75,28 +73,5 @@ func selectTopRems(rems []remEntry, k int) {
 		} else {
 			lo = j + 1
 		}
-	}
-}
-
-// softmax32Into is the float32-accumulation softmax kernel, selected by
-// GeneratorConfig.Float32Kernels: the max-reduction is branch-free
-// (math.Max compiles to a single instruction) and the normalizer
-// accumulates in float32, halving the bandwidth the exp loop is bound on at
-// E=16k. Opt-in only — it changes low-order bits, so every golden-pinned
-// path stays on softmaxInto.
-func softmax32Into(dst, logits []float64) {
-	maxL := math.Inf(-1)
-	for _, v := range logits {
-		maxL = math.Max(maxL, v)
-	}
-	var sum float32
-	for i, v := range logits {
-		e := float32(math.Exp(v - maxL))
-		dst[i] = float64(e)
-		sum += e
-	}
-	inv := float64(1 / sum)
-	for i := range dst {
-		dst[i] *= inv
 	}
 }

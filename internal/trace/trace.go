@@ -137,14 +137,9 @@ type GeneratorConfig struct {
 	Skew float64
 
 	// AuxLossWeight is the auxiliary load-balancing loss weight. The
-	// effective logits are scaled by 1/(1 + AuxGain*w), so larger weights
+	// effective logits are scaled by 1/(1 + auxGain*w), so larger weights
 	// compress routing toward uniform (GShard/Switch-style behaviour).
 	AuxLossWeight float64
-
-	// AuxGain converts an aux-loss weight into logit compression. The
-	// default (5e3) makes w=1e-2 nearly uniform while w=1e-4 only mildly
-	// rebalances — the regime studied in Fig. 2 and Fig. 9.
-	AuxGain float64
 
 	// Persistence is the AR(1) coefficient of the logit random walk in
 	// (0,1); closer to 1 means hot experts stay hot longer. Default 0.98.
@@ -156,17 +151,6 @@ type GeneratorConfig struct {
 	// (the zero value means "default", so 0 cannot).
 	JumpProb float64
 
-	// DeviceNoise is the relative standard deviation of per-device
-	// popularity perturbations (different devices hold different data so
-	// their routing differs slightly). Default 0.10.
-	DeviceNoise float64
-
-	// Float32Kernels opts layer synthesis into the float32-accumulation
-	// softmax kernel (see kernels.go). It perturbs low-order probability
-	// bits — and therefore routing counts — so it is strictly opt-in:
-	// golden-pinned paths leave it false.
-	Float32Kernels bool
-
 	// Parallelism bounds the goroutines synthesizing independent layers in
 	// Step/StepInto: 0 uses GOMAXPROCS, 1 forces serial. Layers own
 	// independent random streams, so the trace is identical at any setting.
@@ -175,11 +159,18 @@ type GeneratorConfig struct {
 	Seed int64
 }
 
+// auxGain converts an aux-loss weight into logit compression: w=1e-2
+// makes routing nearly uniform while w=1e-4 only mildly rebalances — the
+// regime studied in Fig. 2 and Fig. 9.
+const auxGain = 5e3
+
+// deviceNoise is the relative standard deviation of per-device popularity
+// perturbations (different devices hold different data, so their routing
+// differs slightly).
+const deviceNoise = 0.10
+
 func (c *GeneratorConfig) withDefaults() GeneratorConfig {
 	out := *c
-	if out.AuxGain == 0 {
-		out.AuxGain = 5e3
-	}
 	if out.Persistence == 0 {
 		out.Persistence = 0.98
 	}
@@ -187,9 +178,6 @@ func (c *GeneratorConfig) withDefaults() GeneratorConfig {
 		out.JumpProb = 0.02
 	} else if out.JumpProb < 0 {
 		out.JumpProb = 0
-	}
-	if out.DeviceNoise == 0 {
-		out.DeviceNoise = 0.10
 	}
 	if out.Skew == 0 {
 		out.Skew = 1.0
@@ -230,10 +218,6 @@ type Generator struct {
 
 	scratch genScratch // serial-path scratch (parallel workers use the pool)
 	shifted []float64  // ApplyDrift migration scratch
-
-	// prev retains a copy of the last emitted matrices, the baseline
-	// StepDeltaInto diffs against (nil until the delta path is used).
-	prev []*RoutingMatrix
 }
 
 // layerSeed derives layer l's independent stream seed from the generator
@@ -343,7 +327,7 @@ func (g *Generator) ExpertProbabilities(layer int) []float64 {
 // compressedInto writes the aux-compressed logits of a layer into dst
 // (len Experts).
 func (g *Generator) compressedInto(dst []float64, layer int) {
-	scale := 1.0 / (1.0 + g.cfg.AuxGain*g.cfg.AuxLossWeight)
+	scale := 1.0 / (1.0 + auxGain*g.cfg.AuxLossWeight)
 	for j, v := range g.layers[layer].logits {
 		dst[j] = v * scale
 	}
@@ -386,15 +370,11 @@ func (g *Generator) sampleLayerInto(m *RoutingMatrix, l int, sc *genScratch) *Ro
 	g.compressedInto(sc.base, l)
 	rng := g.layers[l].rng
 	perDevice := g.cfg.TokensPerDevice * g.cfg.TopK
-	softmax := softmaxInto
-	if g.cfg.Float32Kernels {
-		softmax = softmax32Into
-	}
 	for i := 0; i < n; i++ {
 		for j := range sc.probs {
-			sc.probs[j] = sc.base[j] + rng.NormFloat64()*g.cfg.DeviceNoise
+			sc.probs[j] = sc.base[j] + rng.NormFloat64()*deviceNoise
 		}
-		softmax(sc.probs, sc.probs)
+		softmaxInto(sc.probs, sc.probs)
 		apportionInto(m.R[i], sc.probs, perDevice, sc.rems)
 	}
 	return m
@@ -406,15 +386,16 @@ type remEntry struct {
 	frac float64
 }
 
-// apportion distributes total assignments across experts proportionally to
-// p with exact total (largest-remainder method, deterministic).
-func apportion(p []float64, total int) []int {
+// Apportion distributes total assignments across experts proportionally to
+// p with exact total (largest-remainder method, deterministic: ties go to
+// the lower index, and remainder beyond len(p) lands on index 0).
+func Apportion(p []float64, total int) []int {
 	out := make([]int, len(p))
 	apportionInto(out, p, total, make([]remEntry, len(p)))
 	return out
 }
 
-// apportionInto is apportion writing into out (len(p)) with caller-owned
+// apportionInto is Apportion writing into out (len(p)) with caller-owned
 // remainder scratch (len(p)). The remainder is handed to the largest
 // fractional parts under (fraction desc, index asc) — a strict total order
 // (indices are unique), so the winning set is unique and selecting it by
@@ -450,12 +431,6 @@ func apportionInto(out []int, p []float64, total int, rems []remEntry) {
 		// than experts; the historical scan dumped the excess on index 0.
 		out[0] += k - n
 	}
-}
-
-func softmax(logits []float64) []float64 {
-	out := make([]float64, len(logits))
-	softmaxInto(out, logits)
-	return out
 }
 
 // softmaxInto writes softmax(logits) into dst; dst may alias logits.

@@ -192,7 +192,7 @@ func TestExpertProbabilitiesSumToOne(t *testing.T) {
 	}
 }
 
-// TestApportionExact: apportion always hits the requested total with
+// TestApportionExact: Apportion always hits the requested total with
 // non-negative integer parts (property-based).
 func TestApportionExact(t *testing.T) {
 	f := func(raw []uint8, totalRaw uint16) bool {
@@ -209,7 +209,7 @@ func TestApportionExact(t *testing.T) {
 		for i := range ps {
 			ps[i] /= sum
 		}
-		out := apportion(ps, total)
+		out := Apportion(ps, total)
 		got := 0
 		for _, v := range out {
 			if v < 0 {

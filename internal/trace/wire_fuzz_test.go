@@ -6,9 +6,11 @@ import (
 	"testing"
 )
 
-// FuzzWireDeltaRoundTrip pins the wire contract: for any pair of same-shape
-// matrices, Diff → Wire → JSON → decode → Check+Apply onto prev reproduces
-// next exactly, and the decoded delta revalidates clean against the shape.
+// FuzzWireDeltaRoundTrip pins the wire contract of WireDiff, the function
+// the daemon journals dense posts with: for any pair of same-shape
+// matrices, WireDiff → JSON → decode → Check+Apply onto prev reproduces
+// next exactly, the delta carries exactly the changed cells, and the
+// decoded delta revalidates clean against the shape.
 func FuzzWireDeltaRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(3), uint8(8))
 	f.Add(int64(7), uint8(1), uint8(1), uint8(0))
@@ -28,13 +30,9 @@ func FuzzWireDeltaRoundTrip(f *testing.F) {
 			i, j := rng.Intn(n), rng.Intn(e)
 			next.R[i][j] = rng.Intn(50)
 		}
-		d, err := Diff(prev, next)
-		if err != nil {
-			t.Fatalf("Diff: %v", err)
-		}
-		w := d.Wire()
-		if w.Cells() != d.Len() {
-			t.Fatalf("wire carries %d cells, delta has %d", w.Cells(), d.Len())
+		w := WireDiff(prev, next.R)
+		if got, want := w.Cells(), changedCells(prev, next); got != want {
+			t.Fatalf("wire carries %d cells, %d changed", got, want)
 		}
 		blob, err := json.Marshal(w)
 		if err != nil {
@@ -60,4 +58,17 @@ func FuzzWireDeltaRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// changedCells counts the cells on which two same-shape matrices differ.
+func changedCells(a, b *RoutingMatrix) int {
+	c := 0
+	for i := range a.R {
+		for j, v := range a.R[i] {
+			if v != b.R[i][j] {
+				c++
+			}
+		}
+	}
+	return c
 }

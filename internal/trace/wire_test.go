@@ -24,11 +24,7 @@ func wireTestMatrices(t *testing.T) (prev, next *RoutingMatrix) {
 
 func TestWireRoundTripMatchesDense(t *testing.T) {
 	prev, next := wireTestMatrices(t)
-	d, err := Diff(prev, next)
-	if err != nil {
-		t.Fatalf("Diff: %v", err)
-	}
-	w := d.Wire()
+	w := WireDiff(prev, next.R)
 	if got := w.Cells(); got != 3 {
 		t.Fatalf("Cells() = %d, want 3", got)
 	}
@@ -36,9 +32,15 @@ func TestWireRoundTripMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
+	if want := `{"experts":[{"e":0,"c":[3,5]},{"e":1,"c":[0,-1,2,1]}]}`; string(blob) != want {
+		t.Fatalf("wire form %s, want %s", blob, want)
+	}
 	var decoded WireDelta
 	if err := json.Unmarshal(blob, &decoded); err != nil {
 		t.Fatalf("unmarshal: %v", err)
+	}
+	if err := decoded.Validate(next.N, next.E); err != nil {
+		t.Fatalf("Validate: %v", err)
 	}
 	got := prev.Clone()
 	if err := decoded.Check(got); err != nil {
@@ -51,25 +53,6 @@ func TestWireRoundTripMatchesDense(t *testing.T) {
 				t.Fatalf("cell (%d,%d) = %d after apply, want %d", i, j, got.R[i][j], next.R[i][j])
 			}
 		}
-	}
-}
-
-func TestWireDiffMatchesRoutingDeltaWire(t *testing.T) {
-	prev, next := wireTestMatrices(t)
-	d, err := Diff(prev, next)
-	if err != nil {
-		t.Fatalf("Diff: %v", err)
-	}
-	fromDelta, err := json.Marshal(d.Wire())
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	fromRows, err := json.Marshal(WireDiff(prev, next.R))
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	if string(fromDelta) != string(fromRows) {
-		t.Fatalf("Wire() and WireDiff disagree:\n%s\n%s", fromDelta, fromRows)
 	}
 }
 

@@ -79,10 +79,6 @@ type RunConfig struct {
 	HistoryAlpha float64
 
 	Seed int64
-
-	// Replayer, when non-nil, supplies routing matrices instead of the
-	// synthetic generator (trace replay mode).
-	Replayer *trace.Replayer
 }
 
 func (c RunConfig) withDefaults() RunConfig {
@@ -239,29 +235,23 @@ func Run(cfg RunConfig) (*metrics.Run, error) {
 		return nil, err
 	}
 
-	var step func() []*trace.RoutingMatrix
-	if cfg.Replayer != nil {
-		step = cfg.Replayer.Step
-	} else {
-		gen, gerr := trace.NewGenerator(trace.GeneratorConfig{
-			Devices:         cfg.Topo.N(),
-			Experts:         cfg.Arch.Experts,
-			Layers:          cfg.Arch.Layers,
-			TokensPerDevice: setup.TokensPerDev,
-			TopK:            cfg.Arch.TopK,
-			AuxLossWeight:   cfg.AuxLossWeight,
-			Skew:            cfg.TraceSkew,
-			Seed:            cfg.Seed,
-			// Serial: classic runs execute as sweep cells that already fan
-			// across every CPU (the experiment harness), so a per-cell
-			// layer fan-out would only oversubscribe the machine. The
-			// online engine threads its own Parallelism knob instead.
-			Parallelism: 1,
-		})
-		if gerr != nil {
-			return nil, gerr
-		}
-		step = gen.Step
+	gen, err := trace.NewGenerator(trace.GeneratorConfig{
+		Devices:         cfg.Topo.N(),
+		Experts:         cfg.Arch.Experts,
+		Layers:          cfg.Arch.Layers,
+		TokensPerDevice: setup.TokensPerDev,
+		TopK:            cfg.Arch.TopK,
+		AuxLossWeight:   cfg.AuxLossWeight,
+		Skew:            cfg.TraceSkew,
+		Seed:            cfg.Seed,
+		// Serial: classic runs execute as sweep cells that already fan
+		// across every CPU (the experiment harness), so a per-cell
+		// layer fan-out would only oversubscribe the machine. The
+		// online engine threads its own Parallelism knob instead.
+		Parallelism: 1,
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	run := &metrics.Run{
@@ -271,7 +261,7 @@ func Run(cfg RunConfig) (*metrics.Run, error) {
 		Warmup:      cfg.Warmup,
 	}
 	for it := 0; it < cfg.Iterations; it++ {
-		routing := step()
+		routing := gen.Step()
 		plans, perr := setup.Scheduler.Plan(routing)
 		if perr != nil {
 			return nil, perr

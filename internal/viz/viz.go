@@ -43,37 +43,6 @@ func BarChart(w io.Writer, labels []string, values []float64, width int, unit st
 	}
 }
 
-// StackedBar renders segment shares of a whole as a single bar, with one
-// rune per segment class.
-func StackedBar(label string, segments []float64, runes []rune, width int) string {
-	total := 0.0
-	for _, s := range segments {
-		total += s
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-22s ", label)
-	if total <= 0 {
-		return b.String()
-	}
-	used := 0
-	for i, s := range segments {
-		n := int(math.Round(s / total * float64(width)))
-		if i == len(segments)-1 {
-			n = width - used
-		}
-		if n < 0 {
-			n = 0
-		}
-		used += n
-		r := '█'
-		if i < len(runes) {
-			r = runes[i]
-		}
-		b.WriteString(strings.Repeat(string(r), n))
-	}
-	return b.String()
-}
-
 // sparkRunes are the eight block heights of a sparkline.
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 

@@ -35,16 +35,6 @@ func TestBarChart(t *testing.T) {
 	}
 }
 
-func TestStackedBar(t *testing.T) {
-	s := StackedBar("mix", []float64{1, 1, 2}, []rune("abc"), 8)
-	if strings.Count(s, "a") != 2 || strings.Count(s, "b") != 2 || strings.Count(s, "c") != 4 {
-		t.Errorf("segment widths wrong: %q", s)
-	}
-	if empty := StackedBar("none", []float64{0, 0}, nil, 8); !strings.HasPrefix(empty, "none") {
-		t.Errorf("empty stacked bar = %q", empty)
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	s := Sparkline([]float64{0, 1, 2, 3})
 	if len([]rune(s)) != 4 {
