@@ -39,9 +39,8 @@ vet:
 test:
 	$(GO) test ./...
 
-# The worker-pool runner, the solver's concurrent candidate evaluation and
-# the online engine's boundary replanning make the race detector
-# load-bearing.
+# The worker-pool runner and the online engine's per-layer fan-out make
+# the race detector load-bearing.
 race:
 	$(GO) test -race ./...
 
@@ -59,7 +58,7 @@ fuzz:
 # The coverage gate (the CI coverage step runs it): every listed package
 # must cover at least 85% of its statements, or the target fails.
 cover:
-	@set -e; for pkg in ./internal/planner ./internal/trace ./internal/forecast ./internal/faults ./internal/serve ./internal/journal; do \
+	@set -e; for pkg in ./internal/planner ./internal/trace ./internal/forecast ./internal/faults ./internal/serve ./internal/journal ./internal/training; do \
 		$(GO) test -coverprofile=cover.out "$$pkg"; \
 		pct=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \
 		echo "$$pkg total coverage: $${pct}%"; \

@@ -203,7 +203,7 @@ func (c config) validate() error {
 	if _, err := training.ResolvePolicy(training.ReplanPolicy(c.policy)); err != nil {
 		return fmt.Errorf("-policy: %w", err)
 	}
-	if _, err := training.ResolveWorkload(training.Workload(c.workload)); err != nil {
+	if err := training.ResolveWorkload(training.Workload(c.workload)); err != nil {
 		return fmt.Errorf("-workload: %w", err)
 	}
 	if err := trace.ArrivalShape(c.arrival).Validate(); err != nil {

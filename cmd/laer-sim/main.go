@@ -269,13 +269,13 @@ func validateFlags(f simFlags) error {
 	// registry, so a policy registered there is accepted here with no
 	// hand-kept list to update (and the registry's error carries the
 	// accepted names).
-	if _, err := training.ResolveDrift(trace.DriftModel(f.drift)); err != nil {
+	if err := training.ResolveDrift(trace.DriftModel(f.drift)); err != nil {
 		return fmt.Errorf("-drift: %v", err)
 	}
-	if _, err := training.ResolvePredictor(forecast.Kind(f.predictor)); err != nil {
+	if err := training.ResolvePredictor(forecast.Kind(f.predictor)); err != nil {
 		return fmt.Errorf("-predictor: %v", err)
 	}
-	if _, err := training.ResolveWorkload(training.Workload(f.workload)); err != nil {
+	if err := training.ResolveWorkload(training.Workload(f.workload)); err != nil {
 		return fmt.Errorf("-workload: %v", err)
 	}
 	if !names(laermoe.Arrivals()).has(f.arrival) {

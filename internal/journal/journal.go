@@ -39,7 +39,9 @@ const (
 	// the server-assigned sequence number.
 	KindOpen Kind = "open"
 	// KindObserve is one epoch's posted observation (the per-layer routing
-	// matrices), appended before the solve it drives.
+	// matrices). It is appended only after the solve it drives succeeded,
+	// immediately before that solve's KindDecision; replay holds it until
+	// the decision record arrives and acts on the pair.
 	KindObserve Kind = "observe"
 	// KindDecision is the re-layout decision an observation produced,
 	// appended after the solve. Replay recomputes it and byte-compares.

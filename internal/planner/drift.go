@@ -24,9 +24,8 @@ import (
 // Exactness contract (what makes the incremental path byte-identical to
 // the full re-score):
 //
-//   - the over-threshold predicate is SolveWarm's moved[] formula verbatim
-//     (|load−base| / max(base,1) > threshold, same zero/negative threshold
-//     normalization);
+//   - the over-threshold predicate is SolveWarm's own (drifted: |load−base|
+//     / max(base,1) > threshold, after the same normalizeWarmThreshold);
 //   - per-expert loads are integer-valued float64 sums, and folding exact
 //     integer deltas into them is exact, so they equal ExpertLoadsInto
 //     bit for bit;
@@ -81,6 +80,17 @@ func normalizeWarmThreshold(thr float64) float64 {
 		return 0
 	}
 	return thr
+}
+
+// drifted is the warm start's re-placement predicate, shared by SolveWarm
+// and the tracker: an expert whose load moved from the base it was
+// planned for by more than thr (normalized), relative to max(base, 1).
+func drifted(load, base, thr float64) bool {
+	denom := base
+	if denom < 1 {
+		denom = 1
+	}
+	return math.Abs(load-base)/denom > thr
 }
 
 // Valid reports whether the tracker is bound to a layout.
@@ -179,7 +189,7 @@ func (t *DriftTracker) Rebase(r *trace.RoutingMatrix, layout *Layout, base []flo
 		copy(t.base, base)
 	}
 	for j := 0; j < t.e; j++ {
-		t.over[j] = t.overThreshold(j)
+		t.over[j] = drifted(t.loads[j], t.base[j], t.thr)
 		t.touch[j] = 0
 	}
 
@@ -200,16 +210,6 @@ func (t *DriftTracker) Rebase(r *trace.RoutingMatrix, layout *Layout, base []flo
 	t.updates = 0
 	t.cellsSeen = 0
 	return nil
-}
-
-// overThreshold is SolveWarm's per-expert moved[] predicate, verbatim.
-func (t *DriftTracker) overThreshold(j int) bool {
-	prev := t.base[j]
-	denom := prev
-	if denom < 1 {
-		denom = 1
-	}
-	return math.Abs(t.loads[j]-prev)/denom > t.thr
 }
 
 // Update folds one observation in: it diffs r against the retained
@@ -246,7 +246,7 @@ func (t *DriftTracker) Update(r *trace.RoutingMatrix) (int, error) {
 	}
 	for _, j := range t.overIdx {
 		t.touch[j] = 0
-		t.over[j] = t.overThreshold(j)
+		t.over[j] = drifted(t.loads[j], t.base[j], t.thr)
 	}
 	if changed > 0 {
 		t.costClean = false

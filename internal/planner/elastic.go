@@ -93,21 +93,14 @@ func (s *Solver) Repair(prev *Layout, loads []float64) (*Layout, RepairStats, er
 		return nil, st, fmt.Errorf("planner: %d loads for %d experts", len(loads), e)
 	}
 
+	// When the surviving slots cannot hold one fresh replica per affected
+	// expert on top of the kept placements, incrementalLayouts spills by
+	// re-placing every expert, letting the allocation shrink replica
+	// counts cluster-wide (each expert still gets at least one slot —
+	// checked above).
 	cands, err := s.incrementalLayouts(prev, loads, moved)
 	if err != nil {
 		return nil, st, err
-	}
-	if cands == nil {
-		// The surviving slots cannot hold one fresh replica per affected
-		// expert on top of the kept placements: spill by re-placing every
-		// expert, letting the allocation shrink replica counts cluster-wide
-		// (each expert still gets at least one slot — checked above).
-		for j := range moved {
-			moved[j] = true
-		}
-		if cands, err = s.incrementalLayouts(prev, loads, moved); err != nil {
-			return nil, st, err
-		}
 	}
 	if len(cands) == 0 {
 		return nil, st, fmt.Errorf("planner: no repair candidates (both base replica schemes disabled)")

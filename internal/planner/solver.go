@@ -2,10 +2,8 @@ package planner
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
-	"sync"
 
 	"laermoe/internal/topology"
 	"laermoe/internal/trace"
@@ -24,12 +22,6 @@ type SolverOptions struct {
 	// ('no_pq' and 'no_even').
 	DisablePQ   bool
 	DisableEven bool
-
-	// Parallelism bounds the goroutines evaluating independent candidate
-	// schemes: values below 2 evaluate serially. The solved strategy is
-	// identical at any setting — candidates are scored independently and
-	// the winner is picked by (cost, candidate index).
-	Parallelism int
 
 	Seed int64
 }
@@ -192,10 +184,9 @@ func NewSolver(topo *topology.Topology, c int, params CostParams, opts SolverOpt
 // Scoring is incremental: each candidate layout is evaluated by streaming
 // the lite-routing assignments through the cost accumulators
 // (evalLayoutCost), so no candidate ever materializes a full Dispatch
-// (the winner's is built lazily on Solution.Dispatch). Distinct candidates
-// are independent and evaluate concurrently when Opts.Parallelism allows;
-// duplicate replica schemes (perturbation is not guaranteed to produce
-// fresh ones) are scored once.
+// (the winner's is built lazily on Solution.Dispatch). Candidates are
+// scored in order on one pooled route scratch; duplicate replica schemes
+// (perturbation is not guaranteed to produce fresh ones) are scored once.
 func (s *Solver) Solve(r *trace.RoutingMatrix) (*Solution, error) {
 	n := s.Topo.N()
 	if r.N != n {
@@ -229,68 +220,21 @@ func (s *Solver) Solve(r *trace.RoutingMatrix) (*Solution, error) {
 		set = append(set, s.perturb(base))
 	}
 
-	// Duplicate schemes inherit the score of their first occurrence.
-	dup := make([]int, len(set))
-	seen := make(map[string]int, len(set))
-	var keyBuf []byte
-	for i, reps := range set {
-		keyBuf = keyBuf[:0]
-		for _, v := range reps {
-			keyBuf = append(keyBuf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
-		if first, ok := seen[string(keyBuf)]; ok {
-			dup[i] = first
-		} else {
-			seen[string(keyBuf)] = i
-			dup[i] = -1
-		}
-	}
-
 	layouts := make([]*Layout, len(set))
 	costs := make([]float64, len(set))
-	errs := make([]error, len(set))
-	eval := func(i int) {
-		if dup[i] >= 0 {
-			return
+	sc := routePool.Get().(*routeScratch)
+	defer routePool.Put(sc)
+	for i, reps := range set {
+		// A duplicate scheme inherits the score of its first occurrence.
+		if k := slices.IndexFunc(set[:i], func(o []int) bool { return slices.Equal(o, reps) }); k >= 0 {
+			layouts[i], costs[i] = layouts[k], costs[k]
+			continue
 		}
-		layout, err := ExpertRelocation(set[i], expertLoad, s.Topo, s.C)
+		layout, err := ExpertRelocation(reps, expertLoad, s.Topo, s.C)
 		if err != nil {
-			errs[i] = err
-			return
+			return nil, err
 		}
-		sc := routePool.Get().(*routeScratch)
-		costs[i] = evalLayoutCost(r, layout, s.Topo, s.Params, sc)
-		routePool.Put(sc)
-		layouts[i] = layout
-	}
-	if s.Opts.Parallelism > 1 && len(seen) > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, s.Opts.Parallelism)
-		for i := range set {
-			if dup[i] >= 0 {
-				continue
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				eval(i)
-				<-sem
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range set {
-			eval(i)
-		}
-	}
-	for i := range set {
-		if dup[i] >= 0 {
-			layouts[i], costs[i], errs[i] = layouts[dup[i]], costs[dup[i]], errs[dup[i]]
-		}
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
+		layouts[i], costs[i] = layout, evalLayoutCost(r, layout, s.Topo, s.Params, sc)
 	}
 
 	bi := 0
@@ -377,12 +321,7 @@ func (s *Solver) SolveWarm(r *trace.RoutingMatrix, warm WarmStart) (*Solution, e
 	if warm.Prev.E != r.E || warm.Prev.N != n {
 		return nil, fmt.Errorf("planner: warm-start layout %dx%d does not match routing %dx%d", warm.Prev.E, warm.Prev.N, r.E, n)
 	}
-	thr := warm.Threshold
-	if thr == 0 {
-		thr = DefaultWarmThreshold
-	} else if thr < 0 {
-		thr = 0
-	}
+	thr := normalizeWarmThreshold(warm.Threshold)
 	w := &s.warm
 	w.resize(r.E, n)
 
@@ -430,12 +369,7 @@ func (s *Solver) SolveWarm(r *trace.RoutingMatrix, warm WarmStart) (*Solution, e
 			return nil, fmt.Errorf("planner: %d previous loads for %d experts", len(warm.PrevLoads), r.E)
 		default:
 			for j := range moved {
-				prev := warm.PrevLoads[j]
-				denom := prev
-				if denom < 1 {
-					denom = 1
-				}
-				moved[j] = math.Abs(loads[j]-prev)/denom > thr
+				moved[j] = drifted(loads[j], warm.PrevLoads[j], thr)
 				anyMoved = anyMoved || moved[j]
 			}
 		}
@@ -468,16 +402,6 @@ func (s *Solver) SolveWarm(r *trace.RoutingMatrix, warm WarmStart) (*Solution, e
 	cands, err := s.incrementalLayouts(warm.Prev, loads, moved)
 	if err != nil {
 		return nil, err
-	}
-	if cands == nil {
-		// The kept experts leave too few slots for the moved ones (their
-		// replica mass collapsed onto the keep set); re-place everything.
-		for j := range moved {
-			moved[j] = true
-		}
-		if cands, err = s.incrementalLayouts(warm.Prev, loads, moved); err != nil {
-			return nil, err
-		}
 	}
 
 	// Keep wins ties (a re-layout that buys nothing should not churn),
@@ -521,11 +445,13 @@ func (s *Solver) SolveWarm(r *trace.RoutingMatrix, warm WarmStart) (*Solution, e
 // incrementalLayouts keeps the placements of unmoved experts and re-places
 // the moved ones into the freed slots, once per base replica scheme (the
 // priority-queue and even allocations of Alg. 2, restricted to the moved
-// experts — mirroring the cold solve's candidate set). Returns (nil, nil)
-// when the kept replicas leave fewer slots than moved experts, which the
-// caller resolves by widening the moved set. SolverOptions.DisablePQ and
-// DisableEven drop the corresponding scheme here too. Candidate layouts
-// come from the solver's free list; the caller owns handing them back.
+// experts — mirroring the cold solve's candidate set). When the kept
+// replicas leave fewer slots than moved experts (their replica mass
+// collapsed onto the keep set), every expert is marked moved in place and
+// the placement retried once; with every expert moved and still too few
+// slots it returns (nil, nil). SolverOptions.DisablePQ and DisableEven
+// drop the corresponding scheme here too. Candidate layouts come from the
+// solver's free list; the caller owns handing them back.
 func (s *Solver) incrementalLayouts(prev *Layout, loads []float64, moved []bool) ([]*Layout, error) {
 	e, n := prev.E, prev.N
 	w := &s.warm
@@ -564,7 +490,13 @@ func (s *Solver) incrementalLayouts(prev *Layout, loads []float64, moved []bool)
 	w.movedIdx = movedIdx
 	slots := s.Topo.NumAvailable()*s.C - kept
 	if slots < len(movedIdx) {
-		return nil, nil
+		if len(movedIdx) == e {
+			return nil, nil
+		}
+		for j := range moved {
+			moved[j] = true
+		}
+		return s.incrementalLayouts(prev, loads, moved)
 	}
 	movedLoads := w.movedLoads[:0]
 	for _, j := range movedIdx {

@@ -253,3 +253,27 @@ func TestPlannerAdaptsToShiftedLoad(t *testing.T) {
 		t.Errorf("post-adaptation imbalance %.3f, want <= 1.3", imb)
 	}
 }
+
+// TestIncrementalEvalMatchesMaterialized: the streaming candidate score
+// must equal TimeCost over the materialized dispatch bit for bit.
+func TestIncrementalEvalMatchesMaterialized(t *testing.T) {
+	topo := topology.New(8, 8)
+	for seed := int64(0); seed < 4; seed++ {
+		r := skewedMatrix(64, 8, 8192, seed)
+		reps, err := ReplicaAllocation(r.ExpertLoads(), 64, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layout, err := ExpertRelocation(reps, r.ExpertLoads(), topo, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := routePool.Get().(*routeScratch)
+		got := evalLayoutCost(r, layout, topo, testParams(), sc)
+		routePool.Put(sc)
+		want := TimeCost(LiteRouting(r, layout, topo), topo, testParams())
+		if got != want {
+			t.Errorf("seed %d: incremental cost %g, materialized %g", seed, got, want)
+		}
+	}
+}

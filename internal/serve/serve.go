@@ -584,14 +584,17 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.solves.Add(1)
-	resp, err, clientErr := func() (*TopologyUpdateResponse, error, bool) {
+	resp, err := func() (*TopologyUpdateResponse, error) {
 		defer s.solves.Done()
 		return sess.applyTopology(req)
 	}()
 	if err != nil {
-		if clientErr {
+		switch {
+		case errors.As(err, &clientError{}):
 			writeError(w, http.StatusBadRequest, "%v", err)
-		} else {
+		default:
+			// The events passed validation, so a repair failure (or an
+			// already poisoned session) is ours.
 			writeError(w, http.StatusInternalServerError, "applying topology update: %v", err)
 		}
 		return

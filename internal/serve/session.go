@@ -64,12 +64,12 @@ func (s SessionSpec) validate() error {
 		}
 	}
 	if s.Predictor != "" {
-		if _, err := training.ResolvePredictor(forecast.Kind(s.Predictor)); err != nil {
+		if err := training.ResolvePredictor(forecast.Kind(s.Predictor)); err != nil {
 			return fmt.Errorf("serve: predictor: %w", err)
 		}
 	}
 	if s.Workload != "" {
-		if _, err := training.ResolveWorkload(training.Workload(s.Workload)); err != nil {
+		if err := training.ResolveWorkload(training.Workload(s.Workload)); err != nil {
 			return fmt.Errorf("serve: workload: %w", err)
 		}
 	}
@@ -423,9 +423,10 @@ func (s *session) maybeSnapshotLocked() {
 // by posting the same observation dense.
 var errDeltaResync = errors.New("routing_delta cannot be applied; repost the observation as dense routing")
 
-// clientError wraps an observe failure the client caused (a bad delta
-// payload discovered under the lock, against the retained matrices); the
-// handler maps it to 400 instead of 500. The session is untouched.
+// clientError wraps a failure the client caused and the session could
+// only discover under its lock: a bad delta payload against the retained
+// matrices, or topology events invalid against the live topology. The
+// handlers map it to 400 instead of 500. The session is untouched.
 type clientError struct{ err error }
 
 func (e clientError) Error() string { return e.err.Error() }
@@ -652,18 +653,18 @@ func (s *session) applyTopologyLocked(events []faults.Event) (*TopologyUpdateRes
 
 // applyTopology applies a client's membership/degradation events. Events
 // are dry-run validated against the session's live topology before
-// anything mutates, so a bad request (the bool result reports one) leaves
-// the session untouched; a repair failure after validation poisons the
-// session like a solve failure. Like observe, the event/decision pair is
-// journaled after success and the decision pushed to subscribers.
-func (s *session) applyTopology(req TopologyUpdateRequest) (*TopologyUpdateResponse, error, bool) {
+// anything mutates, so a bad request (a clientError) leaves the session
+// untouched; a repair failure after validation poisons the session like a
+// solve failure. Like observe, the event/decision pair is journaled after
+// success and the decision pushed to subscribers.
+func (s *session) applyTopology(req TopologyUpdateRequest) (*TopologyUpdateResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed != nil {
-		return nil, fmt.Errorf("session %s failed and must be reopened: %w", s.id, s.failed), false
+		return nil, fmt.Errorf("session %s failed and must be reopened: %w", s.id, s.failed)
 	}
 	if len(req.Events) == 0 {
-		return nil, fmt.Errorf("serve: topology update carries no events"), true
+		return nil, clientError{fmt.Errorf("serve: topology update carries no events")}
 	}
 	events := make([]faults.Event, len(req.Events))
 	for i, ev := range req.Events {
@@ -671,11 +672,11 @@ func (s *session) applyTopology(req TopologyUpdateRequest) (*TopologyUpdateRespo
 		events[i] = ev
 	}
 	if err := faults.Schedule(events).Validate(s.core.Topo()); err != nil {
-		return nil, err, true
+		return nil, clientError{err}
 	}
 	resp, err := s.applyTopologyLocked(events)
 	if err != nil {
-		return nil, err, false
+		return nil, err
 	}
 	s.journalLocked(journal.KindTopology, topologyRecord{Events: events})
 	s.journalLocked(journal.KindTopologyDecision, topologyDecisionRecord{
@@ -684,7 +685,7 @@ func (s *session) applyTopology(req TopologyUpdateRequest) (*TopologyUpdateRespo
 		RecoveryChargeSeconds: resp.RecoveryChargeSeconds,
 	})
 	s.publishLocked(eventTopology, resp)
-	return resp, nil, false
+	return resp, nil
 }
 
 // touch refreshes the idle-eviction clock.

@@ -8,7 +8,6 @@ import (
 	"laermoe/internal/model"
 	"laermoe/internal/par"
 	"laermoe/internal/planner"
-	"laermoe/internal/stats"
 	"laermoe/internal/topology"
 	"laermoe/internal/trace"
 )
@@ -120,12 +119,13 @@ type EpochSummary struct {
 }
 
 // OnlinePlanner is the per-epoch re-layout decision core shared by
-// RunOnline and the laer-serve planning service: per-layer warm-start
-// solvers (each with its scratch arena), the layouts currently in force,
-// and the per-layer load forecasters of the predictive policy. An epoch is
-// driven as PlanBoundary (forecast-driven boundary replans, a no-op for
-// reactive policies) followed by Observe (the post-observation reactive
-// replan), after which Summarize reports the epoch's aggregate outcome.
+// RunOnline and the laer-serve planning service: one layerState per MoE
+// layer (its warm-start solver with the solver's scratch arena, planned
+// loads, drift tracker, forecaster and this epoch's outcome) plus the
+// layouts currently in force. An epoch is driven as PlanBoundary
+// (forecast-driven boundary replans, a no-op for reactive policies)
+// followed by Observe (the post-observation reactive replan), after which
+// Summarize reports the epoch's aggregate outcome.
 //
 // The planner is deterministic: the same construction config and the same
 // observation sequence produce byte-identical decisions at any Parallelism
@@ -141,34 +141,15 @@ type OnlinePlanner struct {
 	layers int
 	n      int
 
-	solvers      []*planner.Solver
-	layouts      []*planner.Layout
-	owned        []bool
-	plannedLoads [][]float64
+	// layouts is the layout in force per layer, kept apart from state
+	// because Layouts hands the slice itself to the executor.
+	layouts []*planner.Layout
+	state   []layerState
 
-	// trackers accumulate each layer's per-expert load drift between
-	// solves so steady-state decisions run without re-scoring the layer
-	// (nil when the policy never warm-starts or incremental planning is
-	// disabled). A tracker is rebased after every solve that it did not
-	// carry through, and invalidated whenever faults mutate the topology
-	// or the layout it is bound to leaves force.
-	trackers []*planner.DriftTracker
-
-	// Predictive state, indexed by layer so boundary solves can fan across
-	// the worker pool without racing.
 	pred        bool
 	confThr     float64
 	alwaysTrust bool
 	perDevice   int
-	predictors  []forecast.Predictor
-	fcast       [][]float64 // boundary forecast scratch
-	fcastMade   []bool      // forecast produced at this boundary
-	acted       []bool      // layout replanned from the forecast
-	corrected   []bool      // refinement overrode the forecast layout
-	lastErr     []float64   // previous window's realized error
-	boundErr    []float64   // lastErr as the boundary step saw it (reporting)
-	streak      []int       // consecutive sub-threshold error windows
-	layerErr    []float64   // this window's realized error (reporting)
 
 	// scoreMigCost is the per-replica migration charge amortized over the
 	// epoch's remaining micro-batches, the keep-versus-migrate score input.
@@ -176,34 +157,74 @@ type OnlinePlanner struct {
 
 	// Elastic recovery state. The planner owns a private clone of the
 	// configured topology so fault events mutate nothing the caller holds;
-	// restoreCost is the per-replica checkpoint read charge. The fault
-	// accounting is indexed by layer: faultTime is the wall-clock charge
-	// pending for each layer's critical path (consumed by TakeFaultCharge,
-	// deliberately untouched by PlanBoundary — boundary faults are applied
-	// before the boundary plan), faultMoves/faultRestored feed the next
-	// Summarize. staticRestored records that the static policy abandoned
-	// its fixed EP groups for a checkpoint-restored layout.
+	// restoreCost is the per-replica checkpoint read charge. faultEvents
+	// feeds the next Summarize; staticRestored records that the static
+	// policy abandoned its fixed EP groups for a checkpoint-restored
+	// layout.
 	restoreCost    float64
-	faultTime      []float64
-	faultMoves     []int
-	faultRestored  []int
 	faultEvents    int
 	staticRestored bool
 
 	workers int
 	pool    *par.Pool
 
-	// Per-epoch planning outcome, reset by PlanBoundary. Slot 0 is the
-	// boundary (forecast-driven) step, slot 1 the observation step.
-	migTime0, migTime1 []float64
-	moves0, moves1     []int
-	imb0, imb1         []float64
-	changed0, changed1 []bool
-	observed           bool // Observe ran this epoch
+	observed bool // Observe ran this epoch
+}
 
-	// Per-epoch solve accounting: how many planning-step solves ran
-	// through a synchronized drift tracker versus a full re-score.
-	incSolves, fullSolves []int
+// The two planning steps of an epoch, indexing layerState.step.
+const (
+	stepBoundary = iota // forecast-driven, before the epoch's first iteration
+	stepObserve         // after the observation iteration
+)
+
+// stepOutcome is what one planning step did to one layer this epoch.
+type stepOutcome struct {
+	moves   int
+	migTime float64
+	imb     float64 // predicted imbalance of the layout left in force
+	changed bool
+}
+
+// layerState is everything one MoE layer plans with. Each planning step
+// reads and writes only its own layer's state, so layers fan across the
+// worker pool without racing.
+type layerState struct {
+	solver       *planner.Solver
+	owned        bool // the layout in force came from solver and may be recycled
+	plannedLoads []float64
+
+	// tracker accumulates the layer's per-expert load drift between solves
+	// so steady-state decisions run without re-scoring the layer (nil when
+	// the policy never warm-starts or incremental planning is disabled).
+	// It is rebased after every solve that it did not carry through, and
+	// invalidated whenever faults mutate the topology or the layout it is
+	// bound to leaves force.
+	tracker *planner.DriftTracker
+
+	// Predictive state (zero for reactive policies).
+	predictor forecast.Predictor
+	fcast     []float64 // boundary forecast
+	fcastMade bool      // forecast produced at this boundary
+	acted     bool      // layout replanned from the forecast
+	corrected bool      // refinement overrode the forecast layout
+	lastErr   float64   // previous window's realized error
+	boundErr  float64   // lastErr as the boundary step saw it (reporting)
+	layerErr  float64   // this window's realized error (reporting)
+	streak    int       // consecutive sub-threshold error windows
+
+	// Fault accounting: faultTime is the wall-clock charge pending for the
+	// layer's critical path (consumed by TakeFaultCharge, deliberately
+	// untouched by PlanBoundary: boundary faults are applied before the
+	// boundary plan); faultMoves and faultRestored feed the next Summarize.
+	faultTime     float64
+	faultMoves    int
+	faultRestored int
+
+	// This epoch's outcome per planning step, and how many of its solves
+	// ran through a synchronized drift tracker versus a full re-score.
+	// Cleared by resetEpoch.
+	step                  [2]stepOutcome
+	incSolves, fullSolves int
 }
 
 // NewOnlinePlanner validates the configuration (Epochs and Drift are
@@ -216,10 +237,10 @@ func NewOnlinePlanner(cfg OnlineConfig) (*OnlinePlanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := ResolveWorkload(cfg.Workload); err != nil {
+	if err := ResolveWorkload(cfg.Workload); err != nil {
 		return nil, err
 	}
-	if _, err := ResolvePredictor(cfg.Predictor); err != nil {
+	if err := ResolvePredictor(cfg.Predictor); err != nil {
 		return nil, err
 	}
 	if cfg.Workload == WorkloadInference {
@@ -250,7 +271,7 @@ func NewOnlinePlanner(cfg OnlineConfig) (*OnlinePlanner, error) {
 		System: SystemLAER, Arch: cfg.Arch, Topo: cfg.Topo,
 		AuxLossWeight: cfg.AuxLossWeight, TraceSkew: cfg.TraceSkew,
 		GlobalBatchTokens: cfg.GlobalBatchTokens, ForceTokensPerDevice: cfg.ForceTokensPerDevice,
-		SolverOpts: cfg.SolverOpts, Seed: cfg.Seed,
+		Seed: cfg.Seed,
 	}
 	if cfg.Workload == WorkloadInference && rc.GlobalBatchTokens == 0 {
 		// A decode step serves whatever arrived — there is no global
@@ -273,31 +294,10 @@ func NewOnlinePlanner(cfg OnlineConfig) (*OnlinePlanner, error) {
 	p := &OnlinePlanner{
 		cfg: cfg, spec: spec, setup: setup, arch: arch, topo: topo,
 		layers: layers, n: n,
-		solvers:       make([]*planner.Solver, layers),
-		layouts:       make([]*planner.Layout, layers),
-		owned:         make([]bool, layers),
-		plannedLoads:  make([][]float64, layers),
-		workers:       par.Workers(cfg.Parallelism),
-		pool:          cfg.Pool,
-		migTime0:      make([]float64, layers),
-		migTime1:      make([]float64, layers),
-		moves0:        make([]int, layers),
-		moves1:        make([]int, layers),
-		imb0:          make([]float64, layers),
-		imb1:          make([]float64, layers),
-		changed0:      make([]bool, layers),
-		changed1:      make([]bool, layers),
-		faultTime:     make([]float64, layers),
-		faultMoves:    make([]int, layers),
-		faultRestored: make([]int, layers),
-		incSolves:     make([]int, layers),
-		fullSolves:    make([]int, layers),
-	}
-	if spec.Tracks && !cfg.DisableIncremental {
-		p.trackers = make([]*planner.DriftTracker, layers)
-		for l := range p.trackers {
-			p.trackers[l] = planner.NewDriftTracker(topo)
-		}
+		layouts: make([]*planner.Layout, layers),
+		state:   make([]layerState, layers),
+		workers: par.Workers(cfg.Parallelism),
+		pool:    cfg.Pool,
 	}
 	p.restoreCost = cfg.RestoreCostPerReplica
 	if p.restoreCost == 0 {
@@ -305,16 +305,6 @@ func NewOnlinePlanner(cfg OnlineConfig) (*OnlinePlanner, error) {
 	} else if p.restoreCost < 0 {
 		p.restoreCost = 0
 	}
-	for l := 0; l < layers; l++ {
-		opts := cfg.SolverOpts
-		if opts.Epsilon == 0 {
-			opts = planner.DefaultSolverOptions()
-		}
-		opts.Seed = cfg.Seed + int64(l) + 1
-		p.solvers[l] = planner.NewSolver(topo, arch.ExpertCapacity, setup.Params, opts)
-		p.layouts[l] = initial
-	}
-
 	p.pred = spec.Predictive
 	p.confThr = cfg.ConfidenceThreshold
 	p.alwaysTrust = p.confThr < 0
@@ -322,20 +312,21 @@ func NewOnlinePlanner(cfg OnlineConfig) (*OnlinePlanner, error) {
 		p.confThr = DefaultConfidenceThreshold
 	}
 	p.perDevice = setup.TokensPerDev * arch.TopK
-	if p.pred {
-		p.predictors = make([]forecast.Predictor, layers)
-		p.fcast = make([][]float64, layers)
-		for l := range p.predictors {
-			pr, perr := forecast.New(cfg.Predictor, arch.Experts)
-			if perr != nil {
-				return nil, perr
-			}
-			p.predictors[l] = pr
-			p.fcast[l] = make([]float64, arch.Experts)
+	for l := range p.state {
+		s := &p.state[l]
+		opts := planner.DefaultSolverOptions()
+		opts.Seed = cfg.Seed + int64(l) + 1
+		s.solver = planner.NewSolver(topo, arch.ExpertCapacity, setup.Params, opts)
+		p.layouts[l] = initial
+		if spec.Tracks && !cfg.DisableIncremental {
+			s.tracker = planner.NewDriftTracker(topo)
 		}
-		p.fcastMade, p.acted, p.corrected = make([]bool, layers), make([]bool, layers), make([]bool, layers)
-		p.lastErr, p.boundErr, p.streak = make([]float64, layers), make([]float64, layers), make([]int, layers)
-		p.layerErr = make([]float64, layers)
+		if p.pred {
+			if s.predictor, err = forecast.New(cfg.Predictor, arch.Experts); err != nil {
+				return nil, err
+			}
+			s.fcast = make([]float64, arch.Experts)
+		}
 	}
 
 	// The solver's keep-versus-migrate score compares a one-off migration
@@ -372,13 +363,10 @@ func (p *OnlinePlanner) Layouts() []*planner.Layout { return p.layouts }
 // boundary replans land on the epoch's first iteration, observation
 // replans on the second.
 func (p *OnlinePlanner) MigrationCharge(it, l int) float64 {
-	switch it {
-	case 0:
-		return p.migTime0[l]
-	case 1:
-		return p.migTime1[l]
+	if it != stepBoundary && it != stepObserve {
+		return 0
 	}
-	return 0
+	return p.state[l].step[it].migTime
 }
 
 // Topo returns the planner's private topology clone — the membership and
@@ -399,8 +387,9 @@ func (p *OnlinePlanner) StaticRestored() bool { return p.staticRestored }
 // that executes after the fault, landing recovery on that iteration's
 // critical path exactly once.
 func (p *OnlinePlanner) TakeFaultCharge(l int) float64 {
-	t := p.faultTime[l]
-	p.faultTime[l] = 0
+	s := &p.state[l]
+	t := s.faultTime
+	s.faultTime = 0
 	return t
 }
 
@@ -431,52 +420,42 @@ func (p *OnlinePlanner) ApplyFaults(events []faults.Event) ([]LayerDecision, err
 	// device mean) behind every tracker's accumulators, and the repairs
 	// below may mutate layouts in place: the incremental state is stale
 	// either way, so the next solve per layer takes the full path.
-	for _, tr := range p.trackers {
-		tr.Invalidate()
-	}
+	p.invalidateTrackers()
 	if !p.spec.Replans {
 		// A policy with no replan move (static, and the dispatch-time
 		// baselines) can only recover by checkpoint restore.
 		return p.staticRestore()
 	}
-	moves := make([]int, p.layers)
-	restored := make([]int, p.layers)
-	changed := make([]bool, p.layers)
+	decs := make([]LayerDecision, p.layers)
 	err := p.fanout(func(l int) error {
-		loads := p.plannedLoads[l]
+		s := &p.state[l]
+		loads := s.plannedLoads
 		if len(loads) == 0 {
 			loads = nil // no plan yet: repair balances for uniform loads
 		}
-		next, st, rerr := p.solvers[l].Repair(p.layouts[l], loads)
+		next, st, rerr := s.solver.Repair(p.layouts[l], loads)
 		if rerr != nil {
 			return rerr
 		}
-		moves[l], restored[l] = st.Moves, st.Restored
+		action := ActionKeep
 		if next != p.layouts[l] {
-			changed[l] = true
+			action = ActionElasticRepair
 			p.installLayout(l, next)
+		}
+		migTime := float64(st.Moves) * p.cfg.MigrationCostPerReplica
+		resTime := float64(st.Restored) * p.restoreCost
+		s.faultMoves += st.Moves
+		s.faultRestored += st.Restored
+		s.faultTime += migTime + resTime
+		decs[l] = LayerDecision{
+			Layer: l, Action: action,
+			Moves: st.Moves, MigrationTime: migTime,
+			Restored: st.Restored, RestoreTime: resTime,
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	decs := make([]LayerDecision, p.layers)
-	for l := 0; l < p.layers; l++ {
-		action := ActionKeep
-		if changed[l] {
-			action = ActionElasticRepair
-		}
-		migTime := float64(moves[l]) * p.cfg.MigrationCostPerReplica
-		resTime := float64(restored[l]) * p.restoreCost
-		p.faultMoves[l] += moves[l]
-		p.faultRestored[l] += restored[l]
-		p.faultTime[l] += migTime + resTime
-		decs[l] = LayerDecision{
-			Layer: l, Action: action,
-			Moves: moves[l], MigrationTime: migTime,
-			Restored: restored[l], RestoreTime: resTime,
-		}
 	}
 	return decs, nil
 }
@@ -509,14 +488,15 @@ func (p *OnlinePlanner) staticRestore() ([]LayerDecision, error) {
 		total += restore.Replicas(j)
 	}
 	resTime := float64(total) * p.restoreCost
-	for l := 0; l < p.layers; l++ {
-		if p.owned[l] {
-			p.solvers[l].Recycle(p.layouts[l])
+	for l := range p.state {
+		s := &p.state[l]
+		if s.owned {
+			s.solver.Recycle(p.layouts[l])
 		}
 		p.layouts[l] = restore
-		p.owned[l] = false
-		p.faultRestored[l] += total
-		p.faultTime[l] += resTime
+		s.owned = false
+		s.faultRestored += total
+		s.faultTime += resTime
 		decs[l] = LayerDecision{
 			Layer: l, Action: ActionCheckpointRestore,
 			Restored: total, RestoreTime: resTime,
@@ -536,13 +516,14 @@ func (p *OnlinePlanner) fanout(fn func(l int) error) error {
 	return par.ForEach(p.workers, p.layers, fn)
 }
 
-// tracker returns layer l's drift tracker, nil when incremental planning
-// is off for this run.
-func (p *OnlinePlanner) tracker(l int) *planner.DriftTracker {
-	if p.trackers == nil {
-		return nil
+// invalidateTrackers unbinds every layer's drift tracker, so the next
+// solve per layer takes the full path.
+func (p *OnlinePlanner) invalidateTrackers() {
+	for l := range p.state {
+		if tr := p.state[l].tracker; tr != nil {
+			tr.Invalidate()
+		}
 	}
-	return p.trackers[l]
 }
 
 // installLayout swaps a replan result into force for a layer, recycling
@@ -552,38 +533,102 @@ func (p *OnlinePlanner) tracker(l int) *planner.DriftTracker {
 // reissue the same buffer later, and a pointer-matched but rewritten
 // layout must never pass the tracker's sync check.
 func (p *OnlinePlanner) installLayout(l int, next *planner.Layout) {
-	if tr := p.tracker(l); tr != nil && tr.Layout() == p.layouts[l] {
-		tr.Invalidate()
+	s := &p.state[l]
+	if s.tracker != nil && s.tracker.Layout() == p.layouts[l] {
+		s.tracker.Invalidate()
 	}
-	if p.owned[l] {
-		p.solvers[l].Recycle(p.layouts[l])
+	if s.owned {
+		s.solver.Recycle(p.layouts[l])
 	}
 	p.layouts[l] = next
-	p.owned[l] = true
+	s.owned = true
 }
 
 // resetEpoch clears the per-epoch planning outcome.
 func (p *OnlinePlanner) resetEpoch() {
-	for l := 0; l < p.layers; l++ {
-		p.migTime0[l], p.moves0[l] = 0, 0
-		p.migTime1[l], p.moves1[l] = 0, 0
-		p.imb0[l], p.imb1[l] = 0, 0
-		p.changed0[l], p.changed1[l] = false, false
-		p.incSolves[l], p.fullSolves[l] = 0, 0
+	for l := range p.state {
+		s := &p.state[l]
+		s.step = [2]stepOutcome{}
+		s.incSolves, s.fullSolves = 0, 0
 	}
 	p.observed = false
 }
 
-// rebaseTracker re-anchors layer l's tracker on the routing its current
-// layout and planned loads were just decided against. Layers with no
-// planned loads yet carry no usable baseline (SolveWarm fully re-scores
-// them regardless), so the tracker stays unbound until the first replan.
-func (p *OnlinePlanner) rebaseTracker(l int, tr *planner.DriftTracker, r *trace.RoutingMatrix) error {
-	if len(p.plannedLoads[l]) == 0 {
+// solveStep is one planning step's keep-or-replan decision for layer l
+// against routing r, booked in s.step[step]. The scratch policy re-solves
+// from nothing; every other policy warm-starts from the layout in force,
+// with the drift tracker carrying the solve incrementally when it is
+// synchronized (the decision is byte-identical either way). forecastErr
+// discounts the solver's keep-versus-migrate score for a forecast r, and
+// plannedFor is the load vector a re-layout is planned for (nil: r's own
+// expert loads).
+func (p *OnlinePlanner) solveStep(l, step int, r *trace.RoutingMatrix, forecastErr float64, plannedFor []float64) error {
+	s := &p.state[l]
+	prev := p.layouts[l]
+	tr := s.tracker
+	synced := false
+	var sol *planner.Solution
+	var err error
+	if p.cfg.Policy == ReplanScratch {
+		sol, err = s.solver.Solve(r)
+	} else {
+		synced = tr != nil && tr.Synced(prev, s.plannedLoads, p.cfg.MigrationThreshold)
+		sol, err = s.solver.SolveWarm(r, planner.WarmStart{
+			Prev:          prev,
+			PrevLoads:     s.plannedLoads,
+			Threshold:     p.cfg.MigrationThreshold,
+			MigrationCost: p.scoreMigCost,
+			ForecastError: forecastErr,
+			Tracker:       tr,
+		})
+	}
+	if err != nil {
+		return err
+	}
+	if synced {
+		s.incSolves++
+	} else {
+		s.fullSolves++
+	}
+	kept := sol.Layout == prev
+	out := &s.step[step]
+	out.moves = planner.MigrationMoves(prev, sol.Layout)
+	out.migTime = float64(out.moves) * p.cfg.MigrationCostPerReplica
+	if kept && synced {
+		// The tracker folded r in and maintained the lite routing's device
+		// loads, so the predicted balance costs O(devices) instead of an
+		// O(N·E) re-route, bit-identical by construction.
+		out.imb = tr.Imbalance()
+	} else {
+		// The predicted balance streams through the planner's pooled
+		// router scratch: no Dispatch is materialized on the solve path.
+		out.imb = planner.LiteImbalance(r, sol.Layout, p.topo)
+	}
+	// The threshold baseline advances only when the layout was actually
+	// re-planned: while a solve keeps the previous layout, its reference
+	// loads stay put, so slow drift accumulates against them instead of
+	// ratcheting the baseline forward and never firing.
+	if !kept {
+		out.changed = true
+		p.installLayout(l, sol.Layout)
+		if plannedFor == nil {
+			s.plannedLoads = r.ExpertLoadsInto(s.plannedLoads)
+		} else {
+			s.plannedLoads = append(s.plannedLoads[:0], plannedFor...)
+		}
+	}
+	if tr == nil || (kept && synced) {
+		return nil
+	}
+	// Re-anchor the tracker on the routing the layout in force was just
+	// decided against. A layer with no planned loads yet carries no usable
+	// baseline (SolveWarm fully re-scores it regardless), so its tracker
+	// stays unbound until the first replan.
+	if len(s.plannedLoads) == 0 {
 		tr.Invalidate()
 		return nil
 	}
-	return tr.Rebase(r, p.layouts[l], p.plannedLoads[l], p.cfg.MigrationThreshold)
+	return tr.Rebase(r, p.layouts[l], s.plannedLoads, p.cfg.MigrationThreshold)
 }
 
 // planBoundaryLayer is the per-layer body of the predictive boundary
@@ -591,88 +636,29 @@ func (p *OnlinePlanner) rebaseTracker(l int, tr *planner.DriftTracker, r *trace.
 // trust, install a forecast-driven re-layout before the epoch's first
 // iteration executes.
 func (p *OnlinePlanner) planBoundaryLayer(l int) error {
-	p.fcastMade[l], p.acted[l], p.corrected[l] = false, false, false
-	if !p.predictors[l].Ready() {
+	s := &p.state[l]
+	s.fcastMade, s.acted, s.corrected = false, false, false
+	if !s.predictor.Ready() {
 		return nil
 	}
-	p.predictors[l].ForecastInto(p.fcast[l])
-	p.fcastMade[l] = true
-	if !p.alwaysTrust && p.streak[l] < trustWindows {
+	s.predictor.ForecastInto(s.fcast)
+	s.fcastMade = true
+	if !p.alwaysTrust && s.streak < trustWindows {
 		return nil // shadow forecast: measure, don't act
 	}
-	r, rerr := forecast.SynthRouting(p.fcast[l], p.n, p.perDevice)
-	if rerr != nil {
-		return rerr
+	r, err := forecast.SynthRouting(s.fcast, p.n, p.perDevice)
+	if err != nil {
+		return err
 	}
-	ferr := p.lastErr[l]
 	// Stash the error the solver was discounted by: PlanEpoch runs the
 	// observation step (which overwrites lastErr) before the boundary
 	// decisions are assembled.
-	p.boundErr[l] = ferr
-	tr := p.tracker(l)
-	synced := tr != nil && tr.Synced(p.layouts[l], p.plannedLoads[l], p.cfg.MigrationThreshold)
-	sol, serr := p.solvers[l].SolveWarm(r, planner.WarmStart{
-		Prev:          p.layouts[l],
-		PrevLoads:     p.plannedLoads[l],
-		Threshold:     p.cfg.MigrationThreshold,
-		MigrationCost: p.scoreMigCost,
-		ForecastError: ferr,
-		Tracker:       tr,
-	})
-	if serr != nil {
-		return serr
+	s.boundErr = s.lastErr
+	if err := p.solveStep(l, stepBoundary, r, s.boundErr, s.fcast); err != nil {
+		return err
 	}
-	if synced {
-		p.incSolves[l]++
-	} else {
-		p.fullSolves[l]++
-	}
-	kept := sol.Layout == p.layouts[l]
-	p.moves0[l] = planner.MigrationMoves(p.layouts[l], sol.Layout)
-	p.migTime0[l] = float64(p.moves0[l]) * p.cfg.MigrationCostPerReplica
-	if kept && synced {
-		// The tracker folded the forecast in and maintained the lite
-		// routing's device loads, so the predicted balance needs no
-		// O(N·E) re-route.
-		p.imb0[l] = tr.Imbalance()
-	} else {
-		// The predicted balance streams through the planner's pooled
-		// router scratch: no Dispatch is materialized on the solve path.
-		p.imb0[l] = planner.LiteImbalance(r, sol.Layout, p.topo)
-	}
-	if !kept {
-		p.changed0[l] = true
-		p.installLayout(l, sol.Layout)
-		p.plannedLoads[l] = append(p.plannedLoads[l][:0], p.fcast[l]...)
-	}
-	if tr != nil && (!kept || !synced) {
-		if rerr := p.rebaseTracker(l, tr, r); rerr != nil {
-			return rerr
-		}
-	}
-	p.acted[l] = true
+	s.acted = true
 	return nil
-}
-
-// boundaryDecisions assembles the decision list of the boundary step.
-func (p *OnlinePlanner) boundaryDecisions() []LayerDecision {
-	var decs []LayerDecision
-	for l := 0; l < p.layers; l++ {
-		if !p.acted[l] {
-			continue
-		}
-		action := ActionKeep
-		if p.changed0[l] {
-			action = ActionPredictiveReplan
-		}
-		decs = append(decs, LayerDecision{
-			Layer: l, Action: action,
-			Moves: p.moves0[l], MigrationTime: p.migTime0[l],
-			PredictedImbalance: p.imb0[l],
-			ForecastError:      p.boundErr[l],
-		})
-	}
-	return decs
 }
 
 // PlanBoundary opens an epoch: it resets the per-epoch planning state and,
@@ -689,7 +675,7 @@ func (p *OnlinePlanner) PlanBoundary() ([]LayerDecision, error) {
 	if err := p.fanout(p.planBoundaryLayer); err != nil {
 		return nil, err
 	}
-	return p.boundaryDecisions(), nil
+	return p.decisions(stepBoundary), nil
 }
 
 // Observe folds the epoch's observation — the routing realized by the
@@ -707,12 +693,12 @@ func (p *OnlinePlanner) Observe(routing []*trace.RoutingMatrix) ([]LayerDecision
 	}
 	p.observed = true
 	err := p.fanout(func(l int) error {
-		return p.observeLayer(l, routing)
+		return p.observeLayer(l, routing[l])
 	})
 	if err != nil {
 		return nil, err
 	}
-	return p.observationDecisions(), nil
+	return p.decisions(stepObserve), nil
 }
 
 // checkRouting validates an observation's shape against the planner's.
@@ -728,141 +714,79 @@ func (p *OnlinePlanner) checkRouting(routing []*trace.RoutingMatrix) error {
 	return nil
 }
 
-// replanWarmLayer is the warm-start observation replan of one layer: the
-// drift tracker, when synchronized with the warm start, folds the
-// observation in incrementally and lets the solver skip the full
-// re-score; either way the decision is byte-identical to the untracked
-// path.
-func (p *OnlinePlanner) replanWarmLayer(l int, r *trace.RoutingMatrix, forecastErr float64) error {
-	tr := p.tracker(l)
-	synced := tr != nil && tr.Synced(p.layouts[l], p.plannedLoads[l], p.cfg.MigrationThreshold)
-	sol, serr := p.solvers[l].SolveWarm(r, planner.WarmStart{
-		Prev:          p.layouts[l],
-		PrevLoads:     p.plannedLoads[l],
-		Threshold:     p.cfg.MigrationThreshold,
-		MigrationCost: p.scoreMigCost,
-		ForecastError: forecastErr,
-		Tracker:       tr,
-	})
-	if serr != nil {
-		return serr
-	}
-	if synced {
-		p.incSolves[l]++
-	} else {
-		p.fullSolves[l]++
-	}
-	kept := sol.Layout == p.layouts[l]
-	p.moves1[l] = planner.MigrationMoves(p.layouts[l], sol.Layout)
-	p.migTime1[l] = float64(p.moves1[l]) * p.cfg.MigrationCostPerReplica
-	if kept && synced {
-		// The tracker maintained the lite routing's per-device loads
-		// through the diff: the predicted balance costs O(devices)
-		// instead of an O(N·E) re-route, bit-identical by construction.
-		p.imb1[l] = tr.Imbalance()
-	} else {
-		p.imb1[l] = planner.LiteImbalance(r, sol.Layout, p.topo)
-	}
-	// The threshold baseline advances only when the layout was
-	// actually re-planned: while a solve keeps the previous layout,
-	// its reference loads stay put, so slow drift accumulates
-	// against them instead of ratcheting the baseline forward and
-	// never firing.
-	if !kept {
-		p.changed1[l] = true
-		p.installLayout(l, sol.Layout)
-		p.plannedLoads[l] = r.ExpertLoadsInto(p.plannedLoads[l])
-	}
-	if tr != nil && (!kept || !synced) {
-		if rerr := p.rebaseTracker(l, tr, r); rerr != nil {
-			return rerr
-		}
-	}
-	return nil
-}
-
-// observeLayer is the per-layer body of the observation step.
-func (p *OnlinePlanner) observeLayer(l int, routing []*trace.RoutingMatrix) error {
-	replanWarm := func(forecastErr float64) error {
-		return p.replanWarmLayer(l, routing[l], forecastErr)
-	}
-	switch p.cfg.Policy {
-	case ReplanScratch:
-		sol, serr := p.solvers[l].Solve(routing[l])
-		if serr != nil {
-			return serr
-		}
-		p.fullSolves[l]++
-		p.moves1[l] = planner.MigrationMoves(p.layouts[l], sol.Layout)
-		p.migTime1[l] = float64(p.moves1[l]) * p.cfg.MigrationCostPerReplica
-		p.imb1[l] = planner.LiteImbalance(routing[l], sol.Layout, p.topo)
-		if sol.Layout != p.layouts[l] {
-			p.changed1[l] = true
-			p.installLayout(l, sol.Layout)
-			p.plannedLoads[l] = routing[l].ExpertLoadsInto(p.plannedLoads[l])
-		}
-		return nil
-	case ReplanWarm:
-		return replanWarm(0)
-	case ReplanPredictive:
-		realized := routing[l].ExpertLoads()
-		p.layerErr[l] = 0
-		if p.fcastMade[l] {
-			p.layerErr[l] = forecast.RelativeError(p.fcast[l], realized)
-			p.lastErr[l] = p.layerErr[l]
-			if p.layerErr[l] <= p.confThr {
-				p.streak[l]++
+// observeLayer is the per-layer body of the observation step. The
+// predictive policy first scores its forecast against the realized loads
+// and feeds them to its predictor; then every replanning policy re-solves
+// from the observation. For the predictive policy that refinement keeps
+// the boundary layout wherever the forecast held (the solver's
+// per-expert threshold) and lets the keep-versus-migrate score decide
+// whether a miss is worth a second round of migration, so acting on a
+// forecast never costs more than one mispredicted iteration plus
+// redoable moves.
+func (p *OnlinePlanner) observeLayer(l int, r *trace.RoutingMatrix) error {
+	s := &p.state[l]
+	if p.pred {
+		realized := r.ExpertLoads()
+		s.layerErr = 0
+		if s.fcastMade {
+			s.layerErr = forecast.RelativeError(s.fcast, realized)
+			s.lastErr = s.layerErr
+			if s.layerErr <= p.confThr {
+				s.streak++
 			} else {
-				p.streak[l] = 0
+				s.streak = 0
 			}
 		}
-		p.predictors[l].Observe(realized)
-		if p.acted[l] && p.alwaysTrust {
+		s.predictor.Observe(realized)
+		if s.acted && p.alwaysTrust {
 			// Diagnostic mode: never refine. The decision still reports
-			// the balance the trusted boundary layout delivers under
-			// the realized routing.
-			p.imb1[l] = planner.LiteImbalance(routing[l], p.layouts[l], p.topo)
+			// the balance the trusted boundary layout delivers under the
+			// realized routing.
+			s.step[stepObserve].imb = planner.LiteImbalance(r, p.layouts[l], p.topo)
 			return nil
 		}
-		// Refine from the observation exactly like the warm policy.
-		// Where the forecast held, the solver's per-expert threshold
-		// keeps the boundary layout in force at no cost; where it
-		// missed, the keep-versus-migrate score decides whether the
-		// correction is worth a second round of migration — so acting
-		// on a forecast never costs more than one mispredicted
-		// iteration plus redoable moves.
-		prev := p.layouts[l]
-		if werr := replanWarm(0); werr != nil {
-			return werr
-		}
-		p.corrected[l] = p.acted[l] && p.layouts[l] != prev
-		return nil
 	}
+	if err := p.solveStep(l, stepObserve, r, 0, nil); err != nil {
+		return err
+	}
+	s.corrected = s.acted && s.step[stepObserve].changed
 	return nil
 }
 
-// observationDecisions assembles the decision list of the observation
-// step.
-func (p *OnlinePlanner) observationDecisions() []LayerDecision {
-	decs := make([]LayerDecision, p.layers)
-	for l := 0; l < p.layers; l++ {
-		action := ActionKeep
-		if p.changed1[l] {
-			action = ActionWarmReplan
-			if p.cfg.Policy == ReplanScratch {
-				action = ActionScratchReplan
+// decisions assembles one planning step's decision list: every acted
+// layer for the boundary step (nil when none acted), every layer for the
+// observation step.
+func (p *OnlinePlanner) decisions(step int) []LayerDecision {
+	var decs []LayerDecision
+	if step == stepObserve {
+		decs = make([]LayerDecision, 0, p.layers)
+	}
+	for l := range p.state {
+		s := &p.state[l]
+		ferr := s.layerErr
+		if step == stepBoundary {
+			if !s.acted {
+				continue
 			}
+			ferr = s.boundErr
 		}
-		var ferr float64
-		if p.pred {
-			ferr = p.layerErr[l]
+		out := s.step[step]
+		action := ActionKeep
+		switch {
+		case !out.changed:
+		case step == stepBoundary:
+			action = ActionPredictiveReplan
+		case p.cfg.Policy == ReplanScratch:
+			action = ActionScratchReplan
+		default:
+			action = ActionWarmReplan
 		}
-		decs[l] = LayerDecision{
+		decs = append(decs, LayerDecision{
 			Layer: l, Action: action,
-			Moves: p.moves1[l], MigrationTime: p.migTime1[l],
-			PredictedImbalance: p.imb1[l],
+			Moves: out.moves, MigrationTime: out.migTime,
+			PredictedImbalance: out.imb,
 			ForecastError:      ferr,
-		}
+		})
 	}
 	return decs
 }
@@ -873,7 +797,7 @@ func (p *OnlinePlanner) observationDecisions() []LayerDecision {
 // worker, instead of paying two pool dispatches (and two rounds of
 // cross-layer synchronization) per epoch. The decisions are byte-identical
 // to PlanBoundary followed by Observe — every planning input and output is
-// indexed per layer, so the two steps of one layer never read another
+// per-layer state, so the two steps of one layer never read another
 // layer's state. Callers that execute iterations between the two steps
 // (the online engine) keep the split entry points; callers that plan both
 // steps from one observation (the laer-serve session loop) use this.
@@ -892,62 +816,62 @@ func (p *OnlinePlanner) PlanEpoch(routing []*trace.RoutingMatrix) (boundary, obs
 				return berr
 			}
 		}
-		return p.observeLayer(l, routing)
+		return p.observeLayer(l, routing[l])
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	if p.pred {
-		boundary = p.boundaryDecisions()
+		boundary = p.decisions(stepBoundary)
 	}
-	return boundary, p.observationDecisions(), nil
+	return boundary, p.decisions(stepObserve), nil
 }
 
 // Summarize aggregates the epoch's planning outcome. Call it after
 // Observe (it reflects whatever steps have run this epoch).
 func (p *OnlinePlanner) Summarize() EpochSummary {
-	var s EpochSummary
-	for l := 0; l < p.layers; l++ {
-		s.Migrations += p.moves0[l] + p.moves1[l]
-		s.MigrationTime += p.migTime0[l] + p.migTime1[l]
-		s.BoundaryMigrationTime += p.migTime0[l]
+	var sum EpochSummary
+	errSum, made, imbSum := 0.0, 0, 0.0
+	for l := range p.state {
+		s := &p.state[l]
+		b, o := &s.step[stepBoundary], &s.step[stepObserve]
+		sum.Migrations += b.moves + o.moves
+		sum.MigrationTime += b.migTime + o.migTime
+		sum.BoundaryMigrationTime += b.migTime
+		imbSum += o.imb
+		sum.IncrementalSolves += s.incSolves
+		sum.FullSolves += s.fullSolves
+		if s.acted {
+			sum.PredictedLayers++
+		}
+		if s.corrected {
+			sum.CorrectedLayers++
+		}
+		if s.fcastMade {
+			errSum += s.layerErr
+			made++
+		}
 	}
-	if p.pred {
-		errSum, made := 0.0, 0
-		for l := 0; l < p.layers; l++ {
-			if p.acted[l] {
-				s.PredictedLayers++
-			}
-			if p.corrected[l] {
-				s.CorrectedLayers++
-			}
-			if p.fcastMade[l] {
-				errSum += p.layerErr[l]
-				made++
-			}
-		}
-		if made > 0 {
-			s.ForecastError = errSum / float64(made)
-		}
+	if made > 0 {
+		sum.ForecastError = errSum / float64(made)
 	}
 	if p.observed {
-		s.MeanPredictedImbalance = stats.Mean(p.imb1)
-	}
-	for l := 0; l < p.layers; l++ {
-		s.IncrementalSolves += p.incSolves[l]
-		s.FullSolves += p.fullSolves[l]
+		sum.MeanPredictedImbalance = imbSum / float64(p.layers)
 	}
 	// Fault recovery is summarized once and the counters drained: fault
 	// events are applied before PlanBoundary (the boundary plan must see
 	// the post-fault membership), so the boundary reset cannot clear them.
-	s.FaultEvents = p.faultEvents
+	// Their charges are added after every planning-step charge, a second
+	// pass that keeps the float sums in their historical order.
+	sum.FaultEvents = p.faultEvents
 	p.faultEvents = 0
-	for l := 0; l < p.layers; l++ {
-		s.Migrations += p.faultMoves[l]
-		s.MigrationTime += float64(p.faultMoves[l]) * p.cfg.MigrationCostPerReplica
-		s.Restored += p.faultRestored[l]
-		s.RestoreTime += float64(p.faultRestored[l]) * p.restoreCost
-		p.faultMoves[l], p.faultRestored[l] = 0, 0
+	for l := range p.state {
+		s := &p.state[l]
+		sum.Migrations += s.faultMoves
+		sum.MigrationTime += float64(s.faultMoves) * p.cfg.MigrationCostPerReplica
+		sum.Restored += s.faultRestored
+		sum.RestoreTime += float64(s.faultRestored) * p.restoreCost
+		s.faultMoves, s.faultRestored = 0, 0
 	}
-	return s
+	return sum
 }

@@ -1,10 +1,13 @@
 package training
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"laermoe/internal/faults"
+	"laermoe/internal/forecast"
 	"laermoe/internal/model"
 	"laermoe/internal/topology"
 	"laermoe/internal/trace"
@@ -89,20 +92,22 @@ func TestOnlineInferenceRejectsFaults(t *testing.T) {
 	}
 }
 
-// TestResolveUnknownNames: every registry must fail fast with the valid
-// set on an unknown name.
+// TestResolveUnknownNames: every name list must fail fast on an unknown
+// name, naming it and the valid set.
 func TestResolveUnknownNames(t *testing.T) {
-	if _, err := ResolvePolicy("bogus"); err == nil {
-		t.Error("unknown policy accepted")
-	}
-	if _, err := ResolveWorkload("bogus"); err == nil {
-		t.Error("unknown workload accepted")
-	}
-	if _, err := ResolvePredictor("bogus"); err == nil {
-		t.Error("unknown predictor accepted")
-	}
-	if _, err := ResolveDrift("bogus"); err == nil {
-		t.Error("unknown drift model accepted")
+	_, policyErr := ResolvePolicy("bogus")
+	for _, c := range []struct {
+		what, valid string
+		err         error
+	}{
+		{"policy", fmt.Sprint(ReplanPolicies()), policyErr},
+		{"workload", fmt.Sprint(Workloads()), ResolveWorkload("bogus")},
+		{"predictor", fmt.Sprint(forecast.Kinds()), ResolvePredictor("bogus")},
+		{"drift model", fmt.Sprint(trace.DriftModels()), ResolveDrift("bogus")},
+	} {
+		if c.err == nil || !strings.Contains(c.err.Error(), `"bogus"`) || !strings.Contains(c.err.Error(), c.valid) {
+			t.Errorf("unknown %s: got error %v, want one naming \"bogus\" and %s", c.what, c.err, c.valid)
+		}
 	}
 	if _, err := RunOnline(inferenceCfg("bogus", trace.ArrivalDiurnal)); err == nil {
 		t.Error("unknown policy accepted by RunOnline")

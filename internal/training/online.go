@@ -10,7 +10,6 @@ import (
 	"laermoe/internal/forecast"
 	"laermoe/internal/model"
 	"laermoe/internal/par"
-	"laermoe/internal/planner"
 	"laermoe/internal/stats"
 	"laermoe/internal/topology"
 	"laermoe/internal/trace"
@@ -161,8 +160,6 @@ type OnlineConfig struct {
 
 	AuxLossWeight float64
 	TraceSkew     float64
-
-	SolverOpts planner.SolverOptions
 
 	// GlobalBatchTokens and ForceTokensPerDevice mirror RunConfig.
 	GlobalBatchTokens    int

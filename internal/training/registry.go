@@ -2,6 +2,7 @@ package training
 
 import (
 	"fmt"
+	"slices"
 
 	"laermoe/internal/forecast"
 	"laermoe/internal/planner"
@@ -9,12 +10,13 @@ import (
 	"laermoe/internal/trace"
 )
 
-// This file is the single registration site for online-engine policies,
-// workloads, predictors and drift models. Everything that used to be a
-// hand-kept switch — NewOnlinePlanner's policy check, RunOnline's
-// dispatch branch, the CLIs' flag validation, serve's SessionSpec
-// validation — resolves through these registries, so a new policy (LLEP
-// and score-balance landed this way) registers in exactly one place.
+// This file is the single registration site for online-engine policies
+// and workloads; predictor and drift model names live in one list each,
+// forecast.Kinds and trace.DriftModels. Everything that used to be a
+// hand-kept switch — NewOnlinePlanner's checks, RunOnline's dispatch
+// branch, the CLIs' flag validation, serve's SessionSpec validation —
+// resolves through the Resolve functions below, so a new policy (LLEP and
+// score-balance landed this way) registers in exactly one place.
 
 // DispatchEnv is the per-layer context a policy's dispatch function routes
 // one iteration's tokens with. The engine reuses one env across layers;
@@ -41,8 +43,7 @@ type DispatchFunc func(env *DispatchEnv) (*planner.Dispatch, error)
 // engine (replacing per-policy switches), its Dispatch routes tokens each
 // iteration.
 type PolicySpec struct {
-	Name        ReplanPolicy
-	Description string
+	Name ReplanPolicy
 
 	// Replans: the policy plans re-layouts from observations (static-like
 	// policies keep the initial layout and skip Observe/PlanBoundary
@@ -74,24 +75,6 @@ const (
 	WorkloadInference Workload = "inference"
 )
 
-// WorkloadSpec is one workload's registry entry.
-type WorkloadSpec struct {
-	Name        Workload
-	Description string
-}
-
-// PredictorSpec and DriftSpec mirror the forecast and trace catalogs into
-// the registry so every name surface resolves the same way.
-type PredictorSpec struct {
-	Name        forecast.Kind
-	Description string
-}
-
-type DriftSpec struct {
-	Name        trace.DriftModel
-	Description string
-}
-
 // liteDispatch is the default dispatch: layout-based Alg. 3 routing.
 func liteDispatch(env *DispatchEnv) (*planner.Dispatch, error) {
 	return planner.LiteRouting(env.Routing, env.Layout, env.Topo), nil
@@ -101,8 +84,7 @@ func liteDispatch(env *DispatchEnv) (*planner.Dispatch, error) {
 // message list names in registration order.
 var policyRegistry = []PolicySpec{
 	{
-		Name:        ReplanStatic,
-		Description: "fixed EP owner layout, never replans (checkpoint-restore on faults)",
+		Name: ReplanStatic,
 		Dispatch: func(env *DispatchEnv) (*planner.Dispatch, error) {
 			if !env.Restored {
 				return planner.EPRouting(env.Routing, env.Capacity)
@@ -111,59 +93,36 @@ var policyRegistry = []PolicySpec{
 		},
 	},
 	{
-		Name:        ReplanScratch,
-		Description: "re-solves the layout from scratch every epoch",
-		Replans:     true,
-		Dispatch:    liteDispatch,
+		Name:     ReplanScratch,
+		Replans:  true,
+		Dispatch: liteDispatch,
 	},
 	{
-		Name:        ReplanWarm,
-		Description: "warm-start incremental re-layout from the previous epoch's solution",
-		Replans:     true,
-		Tracks:      true,
-		Dispatch:    liteDispatch,
+		Name:     ReplanWarm,
+		Replans:  true,
+		Tracks:   true,
+		Dispatch: liteDispatch,
 	},
 	{
-		Name:        ReplanPredictive,
-		Description: "warm re-layout planned from forecast loads at epoch boundaries",
-		Replans:     true,
-		Tracks:      true,
-		Predictive:  true,
-		Dispatch:    liteDispatch,
+		Name:       ReplanPredictive,
+		Replans:    true,
+		Tracks:     true,
+		Predictive: true,
+		Dispatch:   liteDispatch,
 	},
 	{
-		Name:        ReplanLLEP,
-		Description: "least-loaded replica dispatch at routing time, no re-layout (LLEP)",
+		Name: ReplanLLEP,
 		Dispatch: func(env *DispatchEnv) (*planner.Dispatch, error) {
 			return planner.LeastLoadedRouting(env.Routing, env.Layout, env.Topo), nil
 		},
 	},
 	{
-		Name:        ReplanScoreBalance,
-		Description: "blends routing distributions toward uniform before dispatch, no re-layout",
+		Name: ReplanScoreBalance,
 		Dispatch: func(env *DispatchEnv) (*planner.Dispatch, error) {
 			env.Scratch = trace.ScoreBalanceInto(env.Scratch, env.Routing, trace.ScoreBalanceBlend)
 			return planner.LiteRouting(env.Scratch, env.Layout, env.Topo), nil
 		},
 	},
-}
-
-var workloadRegistry = []WorkloadSpec{
-	{Name: WorkloadTraining, Description: "multi-epoch training, step-time objective"},
-	{Name: WorkloadInference, Description: "request-level decode traffic, p50/p99 latency objective"},
-}
-
-var predictorRegistry = []PredictorSpec{
-	{Name: forecast.KindLast, Description: "next window repeats the current one"},
-	{Name: forecast.KindEMA, Description: "exponential moving average of past windows"},
-	{Name: forecast.KindTrend, Description: "per-expert least-squares trend, extrapolated one window"},
-}
-
-var driftRegistry = []DriftSpec{
-	{Name: trace.DriftNone, Description: "stationary popularity between epochs"},
-	{Name: trace.DriftStabilizing, Description: "drift decays as training converges"},
-	{Name: trace.DriftBursty, Description: "per-expert popularity redraws"},
-	{Name: trace.DriftMigration, Description: "popularity mass migrates cyclically across experts"},
 }
 
 // ResolvePolicy returns a policy's registry entry, failing fast with the
@@ -177,44 +136,32 @@ func ResolvePolicy(name ReplanPolicy) (*PolicySpec, error) {
 	return nil, fmt.Errorf("training: unknown replan policy %q (have %v)", name, ReplanPolicies())
 }
 
-// ResolveWorkload returns a workload's registry entry, failing fast with
-// the valid set on an unknown name.
-func ResolveWorkload(name Workload) (*WorkloadSpec, error) {
-	for i := range workloadRegistry {
-		if workloadRegistry[i].Name == name {
-			return &workloadRegistry[i], nil
-		}
+// ResolveWorkload fails fast, naming the valid set, on an unknown
+// workload name.
+func ResolveWorkload(name Workload) error {
+	if !slices.Contains(Workloads(), name) {
+		return fmt.Errorf("training: unknown workload %q (have %v)", name, Workloads())
 	}
-	return nil, fmt.Errorf("training: unknown workload %q (have %v)", name, Workloads())
+	return nil
 }
 
-// ResolvePredictor returns a predictor's registry entry, failing fast with
-// the valid set on an unknown name.
-func ResolvePredictor(name forecast.Kind) (*PredictorSpec, error) {
-	for i := range predictorRegistry {
-		if predictorRegistry[i].Name == name {
-			return &predictorRegistry[i], nil
-		}
+// ResolvePredictor fails fast, naming the valid set, on an unknown
+// predictor name.
+func ResolvePredictor(name forecast.Kind) error {
+	if !slices.Contains(forecast.Kinds(), name) {
+		return fmt.Errorf("training: unknown predictor %q (have %v)", name, forecast.Kinds())
 	}
-	return nil, fmt.Errorf("training: unknown predictor %q (have %v)", name, forecast.Kinds())
+	return nil
 }
 
-// ResolveDrift returns a drift model's registry entry, failing fast with
-// the valid set on an unknown name.
-func ResolveDrift(name trace.DriftModel) (*DriftSpec, error) {
-	for i := range driftRegistry {
-		if driftRegistry[i].Name == name {
-			return &driftRegistry[i], nil
-		}
+// ResolveDrift fails fast, naming the valid set, on an unknown drift
+// model name.
+func ResolveDrift(name trace.DriftModel) error {
+	if !slices.Contains(trace.DriftModels(), name) {
+		return fmt.Errorf("training: unknown drift model %q (have %v)", name, trace.DriftModels())
 	}
-	return nil, fmt.Errorf("training: unknown drift model %q (have %v)", name, trace.DriftModels())
+	return nil
 }
 
-// Workloads lists every registered workload name.
-func Workloads() []Workload {
-	out := make([]Workload, len(workloadRegistry))
-	for i, w := range workloadRegistry {
-		out[i] = w.Name
-	}
-	return out
-}
+// Workloads lists every workload name.
+func Workloads() []Workload { return []Workload{WorkloadTraining, WorkloadInference} }

@@ -38,7 +38,8 @@ func (p *OnlinePlanner) StateDigest() uint64 {
 			u64(0)
 		}
 	}
-	for l := 0; l < p.layers; l++ {
+	for l := range p.state {
+		s := &p.state[l]
 		lay := p.layouts[l]
 		i64(lay.E)
 		i64(lay.N)
@@ -47,18 +48,18 @@ func (p *OnlinePlanner) StateDigest() uint64 {
 				i64(v)
 			}
 		}
-		i64(len(p.plannedLoads[l]))
-		for _, v := range p.plannedLoads[l] {
+		i64(len(s.plannedLoads))
+		for _, v := range s.plannedLoads {
 			f64(v)
 		}
-		i64(p.faultMoves[l])
-		i64(p.faultRestored[l])
-		f64(p.faultTime[l])
+		i64(s.faultMoves)
+		i64(s.faultRestored)
+		f64(s.faultTime)
 	}
 	if p.pred {
-		for l := 0; l < p.layers; l++ {
-			f64(p.lastErr[l])
-			i64(p.streak[l])
+		for l := range p.state {
+			f64(p.state[l].lastErr)
+			i64(p.state[l].streak)
 		}
 	}
 	i64(p.faultEvents)

@@ -37,7 +37,7 @@ type PlannerState struct {
 	// threshold baseline (empty while a layer has never been replanned).
 	PlannedLoads [][]float64 `json:"planned_loads"`
 
-	// Pending fault accounting (see OnlinePlanner.faultTime et al.);
+	// Pending fault accounting (see layerState.faultTime et al.);
 	// normally all drained by the time a serve-layer snapshot runs, but
 	// carried for exactness.
 	FaultTime      []float64 `json:"fault_time,omitempty"`
@@ -65,27 +65,30 @@ func (p *OnlinePlanner) ExportState() (*PlannerState, error) {
 		Layouts:      make([][][]int, p.layers),
 		PlannedLoads: make([][]float64, p.layers),
 
-		FaultTime:      append([]float64(nil), p.faultTime...),
-		FaultMoves:     append([]int(nil), p.faultMoves...),
-		FaultRestored:  append([]int(nil), p.faultRestored...),
+		FaultTime:      make([]float64, p.layers),
+		FaultMoves:     make([]int, p.layers),
+		FaultRestored:  make([]int, p.layers),
 		FaultEvents:    p.faultEvents,
 		StaticRestored: p.staticRestored,
 	}
-	for l := 0; l < p.layers; l++ {
+	if p.pred {
+		st.LastErr = make([]float64, p.layers)
+		st.Streak = make([]int, p.layers)
+		st.Predictors = make([]forecast.State, p.layers)
+	}
+	for l := range p.state {
+		s := &p.state[l]
 		lay := p.layouts[l]
 		cells := make([][]int, lay.E)
 		for j := range cells {
 			cells[j] = append([]int(nil), lay.A[j]...)
 		}
 		st.Layouts[l] = cells
-		st.PlannedLoads[l] = append([]float64(nil), p.plannedLoads[l]...)
-	}
-	if p.pred {
-		st.LastErr = append([]float64(nil), p.lastErr...)
-		st.Streak = append([]int(nil), p.streak...)
-		st.Predictors = make([]forecast.State, p.layers)
-		for l := 0; l < p.layers; l++ {
-			ps, err := forecast.ExportState(p.predictors[l])
+		st.PlannedLoads[l] = append([]float64(nil), s.plannedLoads...)
+		st.FaultTime[l], st.FaultMoves[l], st.FaultRestored[l] = s.faultTime, s.faultMoves, s.faultRestored
+		if p.pred {
+			st.LastErr[l], st.Streak[l] = s.lastErr, s.streak
+			ps, err := forecast.ExportState(s.predictor)
 			if err != nil {
 				return nil, err
 			}
@@ -168,34 +171,31 @@ func (p *OnlinePlanner) RestoreState(st *PlannerState) error {
 		return err
 	}
 
-	for l := 0; l < p.layers; l++ {
-		if p.owned[l] {
-			p.solvers[l].Recycle(p.layouts[l])
+	for l := range p.state {
+		s := &p.state[l]
+		if s.owned {
+			s.solver.Recycle(p.layouts[l])
 		}
 		p.layouts[l] = layouts[l]
-		p.owned[l] = true
-		p.plannedLoads[l] = append(p.plannedLoads[l][:0], st.PlannedLoads[l]...)
-		p.faultTime[l], p.faultMoves[l], p.faultRestored[l] = 0, 0, 0
+		s.owned = true
+		s.plannedLoads = append(s.plannedLoads[:0], st.PlannedLoads[l]...)
+		s.faultTime, s.faultMoves, s.faultRestored = 0, 0, 0
 		if len(st.FaultTime) == p.layers {
-			p.faultTime[l] = st.FaultTime[l]
+			s.faultTime = st.FaultTime[l]
 		}
 		if len(st.FaultMoves) == p.layers {
-			p.faultMoves[l] = st.FaultMoves[l]
+			s.faultMoves = st.FaultMoves[l]
 		}
 		if len(st.FaultRestored) == p.layers {
-			p.faultRestored[l] = st.FaultRestored[l]
+			s.faultRestored = st.FaultRestored[l]
+		}
+		if p.pred {
+			s.lastErr, s.streak, s.predictor = st.LastErr[l], st.Streak[l], preds[l]
 		}
 	}
 	p.faultEvents = st.FaultEvents
 	p.staticRestored = st.StaticRestored
-	if p.pred {
-		copy(p.lastErr, st.LastErr)
-		copy(p.streak, st.Streak)
-		copy(p.predictors, preds)
-	}
-	for _, tr := range p.trackers {
-		tr.Invalidate()
-	}
+	p.invalidateTrackers()
 	p.resetEpoch()
 	return nil
 }

@@ -129,8 +129,11 @@ type SimOptions struct {
 	// DatasetSkew overrides the routing concentration (0 → default 1.0).
 	DatasetSkew float64
 
-	Iterations int // 0 → 12
-	Warmup     int // 0 → 3
+	// Iterations is the run length (0 → 12) and Warmup the leading
+	// iterations the averages exclude (0 → 3); Simulate rejects a warmup
+	// that is negative or leaves no measured iteration.
+	Iterations int
+	Warmup     int
 	Seed       int64
 
 	// ForceTokensPerDevice bypasses the memory fitter (used by
@@ -179,8 +182,17 @@ func Simulate(opts SimOptions) (*SimReport, error) {
 	if opts.Iterations == 0 {
 		opts.Iterations = 12
 	}
+	warmupNote := ""
 	if opts.Warmup == 0 {
 		opts.Warmup = 3
+		warmupNote = " (the default)"
+	}
+	// The averages cover the post-warmup iterations only: a negative
+	// warmup would slice out of range, and an empty window would fold the
+	// warmup iterations back into the averages (metrics.Run's fallback).
+	if opts.Warmup < 0 || opts.Warmup >= opts.Iterations {
+		return nil, fmt.Errorf("laermoe: need 0 <= Warmup < Iterations, have Warmup %d%s and Iterations %d",
+			opts.Warmup, warmupNote, opts.Iterations)
 	}
 	cfg := training.RunConfig{
 		System:               training.System(opts.System),
@@ -508,11 +520,7 @@ type PlanRequest struct {
 	Model string
 	// Epsilon is the solver's candidate-set size (0 → 2, as evaluated).
 	Epsilon int
-	// Parallelism bounds the goroutines evaluating independent candidate
-	// schemes (values below 2 solve serially). The solved strategy is
-	// identical at any setting.
-	Parallelism int
-	Seed        int64
+	Seed    int64
 }
 
 // PlanResult is the solved re-layout strategy.
@@ -574,7 +582,7 @@ func PlanLayout(req PlanRequest) (*PlanResult, error) {
 		FLOPS:               topo.FLOPS,
 	}
 	solver := planner.NewSolver(topo, req.Capacity, params,
-		planner.SolverOptions{Epsilon: req.Epsilon, Parallelism: req.Parallelism, Seed: req.Seed})
+		planner.SolverOptions{Epsilon: req.Epsilon, Seed: req.Seed})
 	sol, err := solver.Solve(r)
 	if err != nil {
 		return nil, err

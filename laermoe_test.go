@@ -3,6 +3,7 @@ package laermoe
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -85,6 +86,29 @@ func TestSimulateRejectsUnknowns(t *testing.T) {
 	}
 	if _, err := Simulate(SimOptions{System: "warp-drive", Model: "mixtral-8x7b-e8k2"}); err == nil {
 		t.Error("unknown system accepted")
+	}
+}
+
+// TestSimulateRejectsEmptyMeasuredWindow: a warmup that is negative or
+// swallows every iteration (the default 3 included) is an error naming
+// both fields, not a panic or an average over warmup iterations.
+func TestSimulateRejectsEmptyMeasuredWindow(t *testing.T) {
+	for _, c := range []struct {
+		iters, warmup int
+		want          string
+	}{
+		{4, -1, "Warmup -1 and Iterations 4"},
+		{2, 0, "Warmup 3 (the default) and Iterations 2"},
+		{6, 6, "Warmup 6 and Iterations 6"},
+		{-1, 0, "Warmup 3 (the default) and Iterations -1"},
+	} {
+		_, err := Simulate(SimOptions{
+			System: SystemLAER, Model: "mixtral-8x7b-e8k2",
+			Iterations: c.iters, Warmup: c.warmup, Seed: 3,
+		})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Iterations %d, Warmup %d: got error %v, want one naming %q", c.iters, c.warmup, err, c.want)
+		}
 	}
 }
 
