@@ -90,11 +90,13 @@ bench-hot:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/sim/ ./internal/executor/ ./internal/planner/ ./internal/trace/ ./internal/forecast/ ./internal/serve/
 
 # The CI allocation-regression smoke: same packages as bench-hot at a
-# fixed small iteration budget, so the alloc columns are stable enough to
-# diff against benchmarks/baseline.txt. Ends with the frontier-scale
-# smoke so the baseline carries the large-shape row too.
+# fixed small iteration budget and at GOMAXPROCS 1, the setting
+# benchmarks/baseline.txt was recorded at (the observe rows allocate more
+# per op with more CPUs), so the alloc columns are stable enough to diff
+# against it. Ends with the frontier-scale smoke so the baseline carries
+# the large-shape row too.
 bench-smoke:
-	$(GO) test -run=NONE -bench=. -benchtime=100x -benchmem \
+	$(GO) test -run=NONE -bench=. -benchtime=100x -benchmem -cpu 1 \
 		./internal/sim/ ./internal/executor/ ./internal/planner/ ./internal/trace/ ./internal/forecast/ ./internal/serve/
 	@$(MAKE) --no-print-directory bench-scale-smoke
 

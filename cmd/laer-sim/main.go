@@ -34,7 +34,7 @@ func main() {
 		nodes     = flag.Int("nodes", 4, "cluster nodes")
 		gpus      = flag.Int("gpus", 8, "GPUs per node")
 		iters     = flag.Int("iters", 12, "iterations to simulate")
-		warmup    = flag.Int("warmup", 3, "warmup iterations excluded from averages")
+		warmup    = flag.Int("warmup", 3, "warmup iterations excluded from averages, at least 1 (the simulator reads 0 as its default of 3)")
 		aux       = flag.Float64("aux", 0, "auxiliary loss weight")
 		skew      = flag.Float64("skew", 0, "routing skew override (0 = default)")
 		seed      = flag.Int64("seed", 1, "random seed")
@@ -239,6 +239,9 @@ func validateFlags(f simFlags) error {
 		}
 		if f.warmup < 0 {
 			return fmt.Errorf("-warmup %d must not be negative", f.warmup)
+		}
+		if f.warmup == 0 {
+			return fmt.Errorf("-warmup 0 would be read by the simulator as its default of 3; ask for at least 1")
 		}
 		if f.warmup >= f.iters {
 			return fmt.Errorf("-warmup %d leaves no measured iterations out of -iters %d", f.warmup, f.iters)

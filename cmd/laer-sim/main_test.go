@@ -53,6 +53,12 @@ func TestValidateFlags(t *testing.T) {
 	bad("-iters", func(f *simFlags) { f.iters = 0 })
 	bad("-warmup", func(f *simFlags) { f.warmup = -1 })
 	ok(func(f *simFlags) { f.warmup = 11 })
+	// The simulator reads Warmup 0 as its default of 3, so a zero warmup
+	// would silently exclude three iterations (or, at -iters 1, fail only
+	// at run time).
+	bad("default of 3", func(f *simFlags) { f.warmup = 0 })
+	bad("-warmup 0", func(f *simFlags) { f.iters, f.warmup = 1, 0 })
+	ok(func(f *simFlags) { f.iters, f.warmup = 2, 1 })
 
 	// Cluster shape and model resolve before any setup work.
 	bad("-nodes", func(f *simFlags) { f.nodes = 0 })

@@ -19,11 +19,22 @@ import (
 // unboundedly on instances that are too large.
 const MaxLayouts = 2_000_000
 
+// Result is the best strategy Search found.
+type Result struct {
+	Layout *planner.Layout
+	// Dispatch is the layout's lite routing refined by RebalanceDispatch,
+	// and Cost its Eq. 2 cost.
+	Dispatch *planner.Dispatch
+	Cost     float64
+	// Candidates is the number of feasible layouts scored.
+	Candidates int
+}
+
 // Search enumerates all layouts in which every device hosts exactly c
 // experts (without per-device duplicates) and every expert has at least
 // one replica, scores each with lite routing refined by RebalanceDispatch,
 // and returns the cheapest. Only suitable for small N and E.
-func Search(r *trace.RoutingMatrix, topo *topology.Topology, c int, params planner.CostParams) (*planner.Solution, error) {
+func Search(r *trace.RoutingMatrix, topo *topology.Topology, c int, params planner.CostParams) (*Result, error) {
 	n := topo.N()
 	if r.N != n {
 		return nil, fmt.Errorf("exact: routing matrix for %d devices, topology has %d", r.N, n)
@@ -37,7 +48,7 @@ func Search(r *trace.RoutingMatrix, topo *topology.Topology, c int, params plann
 		}
 	}
 
-	best := &planner.Solution{Cost: -1}
+	best := &Result{Cost: -1}
 	choice := make([]int, n)
 	var recurse func(dev int)
 	recurse = func(dev int) {
@@ -60,9 +71,7 @@ func Search(r *trace.RoutingMatrix, topo *topology.Topology, c int, params plann
 			cost := planner.TimeCost(d, topo, params)
 			best.Candidates++
 			if best.Cost < 0 || cost < best.Cost {
-				best.Layout = layout
-				best.AttachDispatch(d)
-				best.Cost = cost
+				best.Layout, best.Dispatch, best.Cost = layout, d, cost
 			}
 			return
 		}

@@ -38,11 +38,11 @@ func TestGreedyNearExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sol.Cost < best.Cost-1e-12 {
-			t.Errorf("seed %d: greedy (%.6f) beat 'exact' (%.6f); exact search is broken", seed, sol.Cost, best.Cost)
+		if sol.Cost() < best.Cost-1e-12 {
+			t.Errorf("seed %d: greedy (%.6f) beat 'exact' (%.6f); exact search is broken", seed, sol.Cost(), best.Cost)
 		}
-		if sol.Cost > best.Cost*1.25 {
-			t.Errorf("seed %d: greedy cost %.6f more than 25%% above exact %.6f", seed, sol.Cost, best.Cost)
+		if sol.Cost() > best.Cost*1.25 {
+			t.Errorf("seed %d: greedy cost %.6f more than 25%% above exact %.6f", seed, sol.Cost(), best.Cost)
 		}
 	}
 }
@@ -57,7 +57,7 @@ func TestExactSolutionValid(t *testing.T) {
 	if err := best.Layout.Validate(2, true); err != nil {
 		t.Errorf("exact layout invalid: %v", err)
 	}
-	if err := best.Dispatch().Validate(r, best.Layout); err != nil {
+	if err := best.Dispatch.Validate(r, best.Layout); err != nil {
 		t.Errorf("exact dispatch invalid: %v", err)
 	}
 	if best.Candidates == 0 {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"laermoe/internal/trace"
 )
 
 // BenchmarkPredictorObserve is the alloc-regression gate for the predictor
@@ -37,17 +39,19 @@ func BenchmarkPredictorObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkSynthRouting sizes the boundary-solve preprocessing (not a
-// zero-alloc path: it materializes one routing matrix per layer per epoch).
+// BenchmarkSynthRouting sizes the boundary-solve preprocessing into a
+// reused matrix (not a zero-alloc path: the proportions and the
+// apportioned row are still allocated per call).
 func BenchmarkSynthRouting(b *testing.B) {
 	const experts, devices = 64, 32
 	loads := make([]float64, experts)
 	for j := range loads {
 		loads[j] = float64((j*37)%experts) + 1
 	}
+	m := trace.NewRoutingMatrix(devices, experts)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SynthRouting(loads, devices, 4096); err != nil {
+		if err := SynthRoutingInto(m, loads, 4096); err != nil {
 			b.Fatal(err)
 		}
 	}

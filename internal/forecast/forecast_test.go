@@ -3,6 +3,8 @@ package forecast
 import (
 	"math"
 	"testing"
+
+	"laermoe/internal/trace"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -226,12 +228,9 @@ func TestRelativeError(t *testing.T) {
 }
 
 func TestSynthRouting(t *testing.T) {
-	m, err := SynthRouting([]float64{30, 10, 0, -5}, 3, 8)
-	if err != nil {
+	m := trace.NewRoutingMatrix(3, 4)
+	if err := SynthRoutingInto(m, []float64{30, 10, 0, -5}, 8); err != nil {
 		t.Fatal(err)
-	}
-	if m.N != 3 || m.E != 4 {
-		t.Fatalf("shape %dx%d, want 3x4", m.N, m.E)
 	}
 	for i, row := range m.R {
 		sum := 0
@@ -250,23 +249,36 @@ func TestSynthRouting(t *testing.T) {
 		t.Errorf("synthesized matrix invalid: %v", err)
 	}
 
+	// Writing into the same matrix again replaces every row.
+	if err := SynthRoutingInto(m, []float64{0, 0, 0, 1}, 8); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range m.R {
+		if row[0] != 0 || row[3] != 8 {
+			t.Errorf("rewritten row %d = %v, want [0 0 0 8]", i, row)
+		}
+	}
+
 	// All-zero forecast degrades to uniform.
-	u, err := SynthRouting([]float64{0, 0}, 1, 4)
-	if err != nil {
+	u := trace.NewRoutingMatrix(1, 2)
+	if err := SynthRoutingInto(u, []float64{0, 0}, 4); err != nil {
 		t.Fatal(err)
 	}
 	if u.R[0][0] != 2 || u.R[0][1] != 2 {
 		t.Errorf("uniform fallback row = %v, want [2 2]", u.R[0])
 	}
 
-	if _, err := SynthRouting(nil, 2, 4); err == nil {
+	if err := SynthRoutingInto(trace.NewRoutingMatrix(2, 0), nil, 4); err == nil {
 		t.Error("empty forecast accepted")
 	}
-	if _, err := SynthRouting([]float64{1}, 0, 4); err == nil {
+	if err := SynthRoutingInto(trace.NewRoutingMatrix(0, 1), []float64{1}, 4); err == nil {
 		t.Error("zero devices accepted")
 	}
-	if _, err := SynthRouting([]float64{1}, 2, 0); err == nil {
+	if err := SynthRoutingInto(trace.NewRoutingMatrix(2, 1), []float64{1}, 0); err == nil {
 		t.Error("zero per-device assignments accepted")
+	}
+	if err := SynthRoutingInto(trace.NewRoutingMatrix(2, 3), []float64{1, 2}, 4); err == nil {
+		t.Error("forecast of the wrong width accepted")
 	}
 }
 

@@ -6,18 +6,20 @@ import (
 	"laermoe/internal/trace"
 )
 
-// SynthRouting converts a forecast per-expert load vector into the routing
-// matrix shape the planner solves from: every device splits its perDevice
-// assignments across experts proportionally to the (non-negative part of
-// the) forecast, with exact row sums via deterministic largest-remainder
-// rounding. Devices get identical rows — the forecast carries no
-// per-device information, and the planner's cost model only needs the
-// column totals and the origin-device split to score a layout. An all-zero
-// or all-negative forecast degrades to uniform routing.
-func SynthRouting(loads []float64, devices, perDevice int) (*trace.RoutingMatrix, error) {
+// SynthRoutingInto converts a forecast per-expert load vector into the
+// routing matrix shape the planner solves from, writing it into m (devices
+// × len(loads), so a planner that synthesizes a matrix per layer per epoch
+// reuses one): every device splits its perDevice assignments across
+// experts proportionally to the (non-negative part of the) forecast, with
+// exact row sums via deterministic largest-remainder rounding. Devices get
+// identical rows — the forecast carries no per-device information, and
+// the planner's cost model only needs the column totals and the
+// origin-device split to score a layout. An all-zero or all-negative
+// forecast degrades to uniform routing.
+func SynthRoutingInto(m *trace.RoutingMatrix, loads []float64, perDevice int) error {
 	e := len(loads)
-	if e == 0 || devices <= 0 || perDevice <= 0 {
-		return nil, fmt.Errorf("forecast: bad routing shape (%d experts, %d devices, %d per device)", e, devices, perDevice)
+	if e == 0 || m.N <= 0 || m.E != e || perDevice <= 0 {
+		return fmt.Errorf("forecast: bad routing shape (%d experts into %dx%d, %d per device)", e, m.N, m.E, perDevice)
 	}
 	total := 0.0
 	for _, v := range loads {
@@ -38,9 +40,8 @@ func SynthRouting(loads []float64, devices, perDevice int) (*trace.RoutingMatrix
 		}
 	}
 	row := trace.Apportion(p, perDevice)
-	m := trace.NewRoutingMatrix(devices, e)
-	for i := 0; i < devices; i++ {
+	for i := range m.R {
 		copy(m.R[i], row)
 	}
-	return m, nil
+	return nil
 }

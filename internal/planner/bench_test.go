@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"slices"
 	"testing"
 
 	"laermoe/internal/topology"
@@ -108,8 +109,9 @@ func BenchmarkExpertRelocation(b *testing.B) {
 
 // BenchmarkSolveWarm measures the warm-start re-solve at the scale
 // experiment's production shape (512 devices, 2048 experts, C=4): the
-// keep path (loads unchanged, the common steady-state outcome) and the
-// replan path (drifted loads re-place part of the expert set).
+// keep paths (loads unchanged or barely moved, the common steady-state
+// outcome) and the replan path (drifted loads re-place part of the
+// expert set).
 func BenchmarkSolveWarm(b *testing.B) {
 	topo := topology.New(64, 8)
 	gen, err := trace.NewGenerator(trace.GeneratorConfig{
@@ -132,8 +134,9 @@ func BenchmarkSolveWarm(b *testing.B) {
 	prevLoads := r0.ExpertLoads()
 
 	// The production keep path: a drift tracker rides along (as the online
-	// planner's warm starts do), so a stationary observation folds in as a
-	// matrix diff plus a cached keep cost instead of a full re-score.
+	// planner's warm starts do), so an observation posted twice unchanged
+	// folds in as a matrix diff with no changed cell, and the keep verdict
+	// scores no cost.
 	tr := NewDriftTracker(topo)
 	if err := tr.Rebase(r0, sol0.Layout, prevLoads, 0); err != nil {
 		b.Fatal(err)
@@ -143,6 +146,40 @@ func BenchmarkSolveWarm(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := s.SolveWarm(r0, WarmStart{Prev: sol0.Layout, PrevLoads: prevLoads, Tracker: tr}); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	// The converged regime: two tokens move before every solve (one from
+	// expert x to y on device 0, one from y to x on device 1, undone by the
+	// next op), so cells change but no expert's load does, and every solve
+	// keeps the layout.
+	r, undo := r0.Clone(), false
+	x := slices.IndexFunc(r.R[0], func(v int) bool { return v > 0 })
+	y := -1
+	for j, v := range r.R[1] {
+		if v > 0 && j != x {
+			y = j
+			break
+		}
+	}
+	b.Run("keep-drift", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			from, to := x, y
+			if undo {
+				from, to = y, x
+			}
+			undo = !undo
+			r.R[0][from]--
+			r.R[0][to]++
+			r.R[1][to]--
+			r.R[1][from]++
+			sol, err := s.SolveWarm(r, WarmStart{Prev: sol0.Layout, PrevLoads: prevLoads, Tracker: tr})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if sol.Layout != sol0.Layout {
+				b.Fatal("two token moves replanned the layer")
 			}
 		}
 	})

@@ -18,8 +18,9 @@ import (
 // state (loads mostly stationary, the regime the paper and *Prediction Is
 // All MoE Needs* document) the epoch decision runs without re-scoring the
 // layer: when no expert is over threshold, the full SolveWarm is
-// guaranteed to return "keep", and the tracker can report that verdict,
-// the cached keep cost and the exact LiteImbalance directly.
+// guaranteed to return "keep", so SolveWarm returns that verdict without
+// scoring its cost (Solution.Cost scores it on demand) and the tracker
+// reports the exact LiteImbalance directly.
 //
 // Exactness contract (what makes the incremental path byte-identical to
 // the full re-score):
@@ -55,9 +56,7 @@ type DriftTracker struct {
 	layout   *Layout
 	thr      float64
 
-	valid     bool
-	keepCost  float64
-	costClean bool // keepCost describes prev's current contents
+	valid bool
 
 	// lifetime counters, exposed for reporting
 	updates   int
@@ -99,7 +98,7 @@ func (t *DriftTracker) Valid() bool { return t.valid }
 // Invalidate unbinds the tracker; the next decision must take the full
 // path and Rebase. Call it whenever the layout, the planned loads or the
 // topology change outside the tracker's view.
-func (t *DriftTracker) Invalidate() { t.valid = false; t.costClean = false }
+func (t *DriftTracker) Invalidate() { t.valid = false }
 
 // Layout returns the layout the tracker is bound to (nil when invalid).
 func (t *DriftTracker) Layout() *Layout {
@@ -206,7 +205,6 @@ func (t *DriftTracker) Rebase(r *trace.RoutingMatrix, layout *Layout, base []flo
 	})
 
 	t.valid = true
-	t.costClean = false
 	t.updates = 0
 	t.cellsSeen = 0
 	return nil
@@ -247,9 +245,6 @@ func (t *DriftTracker) Update(r *trace.RoutingMatrix) (int, error) {
 	for _, j := range t.overIdx {
 		t.touch[j] = 0
 		t.over[j] = drifted(t.loads[j], t.base[j], t.thr)
-	}
-	if changed > 0 {
-		t.costClean = false
 	}
 	t.updates++
 	t.cellsSeen += changed
@@ -328,16 +323,4 @@ func (t *DriftTracker) Imbalance() float64 {
 		return 1
 	}
 	return float64(maxLoad) / mean
-}
-
-// cacheKeepCost stores the keep-path Eq. 2 cost of the current contents.
-func (t *DriftTracker) cacheKeepCost(cost float64) {
-	t.keepCost = cost
-	t.costClean = true
-}
-
-// cachedKeepCost returns the cached keep cost and whether it still
-// describes the tracked matrix (no cells changed since it was computed).
-func (t *DriftTracker) cachedKeepCost() (float64, bool) {
-	return t.keepCost, t.costClean
 }

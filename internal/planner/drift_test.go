@@ -141,7 +141,10 @@ func TestDriftTrackerUpdateEqualsRebase(t *testing.T) {
 // solver level: across a drift sequence spanning keep and replan
 // outcomes, a SolveWarm fed a synchronized tracker returns exactly the
 // solution of an untracked SolveWarm on an identically seeded solver —
-// same layout cells, same cost bits, same candidate count.
+// same layout cells, same candidate count, same migrations, same cost
+// bits. The sequence covers the converged regime: keeps on a matrix a
+// few tokens away from the last one (also right after a replan and its
+// Rebase), whose cost the tracked solve leaves unscored until asked.
 func TestSolveWarmTrackedMatchesUntracked(t *testing.T) {
 	topo, sTracked, gen, r0, solT := driftFixture(t, 16, 64, 256)
 	sPlain := NewSolver(topo, 2*64/16, CostParams{TokenBytes: 8192, ExpertFLOPsPerToken: 352e6, FLOPS: 140e12},
@@ -164,23 +167,28 @@ func TestSolveWarmTrackedMatchesUntracked(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	keeps, replans := 0, 0
-	var r *trace.RoutingMatrix
-	for step := 0; step < 8; step++ {
-		// Alternate drifted and repeated observations: a fresh post-drift
-		// sample exercises the incremental re-score, re-submitting the
-		// same matrix exercises the guaranteed-keep fast path.
-		if step%2 == 0 {
+	replans, keepsRepost, keepsDrift, keepsAfterReplan := 0, 0, 0, 0
+	justReplanned := false
+	r := r0
+	for step := 0; step < 12; step++ {
+		// A fresh post-drift sample exercises the incremental re-score, a
+		// few moved tokens the converged keep, and re-submitting the same
+		// matrix the keep with no changed cell.
+		switch step % 3 {
+		case 0:
 			if err := gen.ApplyDrift(trace.DriftConfig{Model: trace.DriftMigration, Rate: 0.35}); err != nil {
 				t.Fatal(err)
 			}
 			r = gen.Step()[0]
+		case 1:
+			r = moveTokens(r, step%2 == 1)
 		}
 
 		wsT := WarmStart{Prev: prevT, PrevLoads: loadsT, Threshold: thr, MigrationCost: 1e-6, Tracker: tr}
 		if !tr.Synced(prevT, loadsT, thr) {
 			t.Fatalf("step %d: tracker lost sync", step)
 		}
+		cellsBefore := tr.CellsChanged()
 		a, err := sTracked.SolveWarm(r, wsT)
 		if err != nil {
 			t.Fatal(err)
@@ -190,21 +198,34 @@ func TestSolveWarmTrackedMatchesUntracked(t *testing.T) {
 			t.Fatal(err)
 		}
 
+		// Only the tracker's keep verdict leaves the cost unscored, and
+		// asking for it scores it once.
+		if unscored := a.params != nil; unscored != tr.CanKeep() {
+			t.Fatalf("step %d: tracked cost unscored=%v with CanKeep=%v", step, unscored, tr.CanKeep())
+		}
+		if b.params != nil {
+			t.Fatalf("step %d: untracked solve left its cost unscored", step)
+		}
 		if (a.Layout == prevT) != (b.Layout == prevP) {
 			t.Fatalf("step %d: tracked kept=%v, untracked kept=%v", step, a.Layout == prevT, b.Layout == prevP)
 		}
 		if !a.Layout.Equal(b.Layout) {
 			t.Fatalf("step %d: tracked and untracked layouts diverge", step)
 		}
-		if a.Cost != b.Cost {
-			t.Fatalf("step %d: tracked cost %v, untracked %v (must be bit-identical)", step, a.Cost, b.Cost)
+		if a.Candidates != b.Candidates || a.Migrations != b.Migrations {
+			t.Fatalf("step %d: tracked candidates/migrations %d/%d, untracked %d/%d",
+				step, a.Candidates, a.Migrations, b.Candidates, b.Migrations)
 		}
-		if a.Candidates != b.Candidates {
-			t.Fatalf("step %d: tracked candidates %d, untracked %d", step, a.Candidates, b.Candidates)
+		if ac, bc := a.Cost(), b.Cost(); math.Float64bits(ac) != math.Float64bits(bc) {
+			t.Fatalf("step %d: tracked cost %v, untracked %v (must be bit-identical)", step, ac, bc)
+		}
+		if a.params != nil || a.Cost() != b.Cost() {
+			t.Fatalf("step %d: Cost did not settle on its first call", step)
 		}
 
 		if a.Layout != prevT {
 			replans++
+			justReplanned = true
 			// Mirror the online planner's lifecycle: install, advance the
 			// baseline, rebase the tracker on the new epoch.
 			if prevT != solT.Layout {
@@ -220,13 +241,54 @@ func TestSolveWarmTrackedMatchesUntracked(t *testing.T) {
 			}
 			prevP = b.Layout
 			loadsP = r.ExpertLoadsInto(loadsP)
+			continue
+		}
+		if tr.CellsChanged() == cellsBefore {
+			keepsRepost++
 		} else {
-			keeps++
+			keepsDrift++
+			if justReplanned {
+				keepsAfterReplan++
+			}
+		}
+		justReplanned = false
+	}
+	if replans == 0 || keepsRepost == 0 || keepsDrift == 0 || keepsAfterReplan == 0 {
+		t.Fatalf("drift sequence exercised replans=%d keeps on a repost=%d on moved tokens=%d right after a replan=%d; want all four",
+			replans, keepsRepost, keepsDrift, keepsAfterReplan)
+	}
+}
+
+// moveTokens returns a copy of r with two tokens moved between its two
+// most-loaded experts (from the first to the second, or back when back
+// is set): drift far below any replan threshold.
+func moveTokens(r *trace.RoutingMatrix, back bool) *trace.RoutingMatrix {
+	out := r.Clone()
+	loads := out.ExpertLoads()
+	hi, next := 0, 1
+	if loads[next] > loads[hi] {
+		hi, next = next, hi
+	}
+	for j := 2; j < len(loads); j++ {
+		switch {
+		case loads[j] > loads[hi]:
+			hi, next = j, hi
+		case loads[j] > loads[next]:
+			next = j
 		}
 	}
-	if keeps == 0 || replans == 0 {
-		t.Fatalf("drift sequence exercised keeps=%d replans=%d; want both paths", keeps, replans)
+	from, to := hi, next
+	if back {
+		from, to = next, hi
 	}
+	for i, moved := 0, 0; i < out.N && moved < 2; i++ {
+		if out.R[i][from] > 0 {
+			out.R[i][from]--
+			out.R[i][to]++
+			moved++
+		}
+	}
+	return out
 }
 
 // TestDriftTrackerDesyncIsIgnored checks the safety valve: a tracker
@@ -270,7 +332,7 @@ func TestDriftTrackerDesyncIsIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Layout.Equal(b.Layout) || a.Cost != b.Cost {
+	if !a.Layout.Equal(b.Layout) || a.Cost() != b.Cost() {
 		t.Fatal("desynchronized tracker changed the solve result")
 	}
 

@@ -88,8 +88,8 @@ func checkSolution(t *testing.T, rc randomCase, r *trace.RoutingMatrix, sol *Sol
 	}
 	// Cost consistency: incremental streaming evaluation == from-scratch
 	// evaluation of the same layout, bit for bit.
-	if got := TimeCost(sol.Dispatch(), rc.topo, testParams()); got != sol.Cost {
-		t.Fatalf("%s: streamed cost %g != from-scratch cost %g", label, sol.Cost, got)
+	if got := TimeCost(sol.Dispatch(), rc.topo, testParams()); got != sol.Cost() {
+		t.Fatalf("%s: streamed cost %g != from-scratch cost %g", label, sol.Cost(), got)
 	}
 }
 
@@ -200,8 +200,8 @@ func TestInvariantsWarmEqualsColdOnIdenticalLayout(t *testing.T) {
 		if warm.Layout != cold.Layout {
 			t.Fatalf("case %d: keep path rebuilt the layout", i)
 		}
-		if warm.Cost != cold.Cost {
-			t.Fatalf("case %d: warm keep cost %g != cold cost %g", i, warm.Cost, cold.Cost)
+		if warm.Cost() != cold.Cost() {
+			t.Fatalf("case %d: warm keep cost %g != cold cost %g", i, warm.Cost(), cold.Cost())
 		}
 	}
 }

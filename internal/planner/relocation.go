@@ -216,11 +216,15 @@ func migrationMovesRows(prev, next *Layout, rows []int) int {
 //
 // Under FSEP the move is free (parameters are re-gathered every layer
 // anyway); traditional relocation schemes pay parameters plus optimizer
-// state per move (costmodel.ExpertMigrationBytes). Panics on shape
-// mismatch, matching LiteRouting's contract.
+// state per move (costmodel.ExpertMigrationBytes). Keeping a layout
+// (prev == next) moves nothing and is answered without walking the grid.
+// Panics on shape mismatch, matching LiteRouting's contract.
 func MigrationMoves(prev, next *Layout) int {
 	if prev.E != next.E || prev.N != next.N {
 		panic(fmt.Sprintf("planner: migration between %dx%d and %dx%d layouts", prev.E, prev.N, next.E, next.N))
+	}
+	if prev == next {
+		return 0
 	}
 	moves := 0
 	for j := 0; j < next.E; j++ {

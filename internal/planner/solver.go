@@ -32,7 +32,6 @@ func DefaultSolverOptions() SolverOptions { return SolverOptions{Epsilon: 2} }
 // Solution is the outcome of one Alg. 2 run.
 type Solution struct {
 	Layout *Layout
-	Cost   float64
 	// Candidates is the number of replica schemes evaluated.
 	Candidates int
 
@@ -46,10 +45,29 @@ type Solution struct {
 	// The token dispatch is materialized lazily: the online engine only
 	// consumes the layout (lite routing runs per micro-batch against the
 	// live routing), so building the full strategy S inside the solve
-	// would be pure overhead on its hot path.
+	// would be pure overhead on its hot path. A drift-tracked keep leaves
+	// the cost unscored the same way: params is non-nil until Cost scores
+	// it.
+	cost     float64
+	params   *CostParams
 	r        *trace.RoutingMatrix
 	topo     *topology.Topology
 	dispatch *Dispatch
+}
+
+// Cost returns the Eq. 2 cost of the solved layout under the routing
+// matrix the solve saw, scoring it on first use when the solve did not
+// need it. The same caveats as Dispatch apply: not safe for concurrent
+// first calls, and the routing matrix (and the solver's Params) must still
+// hold what the solve saw.
+func (s *Solution) Cost() float64 {
+	if s.params != nil {
+		sc := routePool.Get().(*routeScratch)
+		s.cost = evalLayoutCost(s.r, s.Layout, s.topo, *s.params, sc)
+		routePool.Put(sc)
+		s.params = nil
+	}
+	return s.cost
 }
 
 // Dispatch returns the Alg. 3 lite-routing token dispatch of the solved
@@ -65,11 +83,6 @@ func (s *Solution) Dispatch() *Dispatch {
 	}
 	return s.dispatch
 }
-
-// AttachDispatch primes the lazily-built dispatch cache; reference solvers
-// that refine their own token routing (internal/exact) use it to return
-// the refined strategy through the same Solution shape.
-func (s *Solution) AttachDispatch(d *Dispatch) { s.dispatch = d }
 
 // Solver runs the expert layout tuner.
 type Solver struct {
@@ -245,8 +258,8 @@ func (s *Solver) Solve(r *trace.RoutingMatrix) (*Solution, error) {
 	}
 	return &Solution{
 		Layout:     layouts[bi],
-		Cost:       costs[bi],
 		Candidates: len(set),
+		cost:       costs[bi],
 		r:          r,
 		topo:       s.Topo,
 	}, nil
@@ -288,9 +301,9 @@ type WarmStart struct {
 	// threshold), supplies the drift state incrementally: the solve folds
 	// the routing in as a delta, skips the full load re-scan and moved-set
 	// sweep, and — when nothing crossed the threshold — returns the keep
-	// verdict with a cached cost instead of re-scoring the layer. The
-	// result is bit-identical to the untracked path (see DriftTracker); a
-	// desynchronized tracker is ignored.
+	// verdict without scoring the layer (Solution.Cost scores it if asked).
+	// The result is bit-identical to the untracked path (see DriftTracker);
+	// a desynchronized tracker is ignored.
 	Tracker *DriftTracker
 }
 
@@ -327,8 +340,8 @@ func (s *Solver) SolveWarm(r *trace.RoutingMatrix, warm WarmStart) (*Solution, e
 
 	// With a synchronized drift tracker the load re-scan and the moved-set
 	// sweep collapse into one delta fold — amortized O(changed cells) —
-	// and a below-threshold epoch returns the keep verdict with a cached
-	// cost, never touching the O(N·E) cost evaluation at all.
+	// and a below-threshold epoch returns the keep verdict unscored, never
+	// touching the O(N·E) cost evaluation at all.
 	var loads []float64
 	moved := w.moved
 	anyMoved := false
@@ -338,19 +351,10 @@ func (s *Solver) SolveWarm(r *trace.RoutingMatrix, warm WarmStart) (*Solution, e
 		}
 		loads = tr.Loads()
 		if tr.CanKeep() {
-			keepCost, clean := tr.cachedKeepCost()
-			if !clean {
-				if w.built != warm.Prev {
-					w.route.buildReplicas(warm.Prev, s.Topo)
-					w.built = warm.Prev
-				}
-				keepCost = evalBuiltLayoutCost(r, warm.Prev, s.Topo, s.Params, &w.route)
-				tr.cacheKeepCost(keepCost)
-			}
 			return &Solution{
 				Layout:     warm.Prev,
-				Cost:       keepCost,
 				Candidates: 1,
+				params:     &s.Params,
 				r:          r,
 				topo:       s.Topo,
 			}, nil
@@ -386,14 +390,11 @@ func (s *Solver) SolveWarm(r *trace.RoutingMatrix, warm WarmStart) (*Solution, e
 		w.built = warm.Prev
 	}
 	keepCost := evalBuiltLayoutCost(r, warm.Prev, s.Topo, s.Params, &w.route)
-	if warm.Tracker != nil && warm.Tracker.synced(warm.Prev, warm.PrevLoads, thr) {
-		warm.Tracker.cacheKeepCost(keepCost)
-	}
 	if !anyMoved {
 		return &Solution{
 			Layout:     warm.Prev,
-			Cost:       keepCost,
 			Candidates: 1,
+			cost:       keepCost,
 			r:          r,
 			topo:       s.Topo,
 		}, nil
@@ -433,10 +434,10 @@ func (s *Solver) SolveWarm(r *trace.RoutingMatrix, warm WarmStart) (*Solution, e
 	}
 	return &Solution{
 		Layout:        best,
-		Cost:          bestCost,
 		Candidates:    1 + len(cands),
 		Migrations:    bestMoves,
 		MigrationTime: warm.MigrationCost * float64(bestMoves),
+		cost:          bestCost,
 		r:             r,
 		topo:          s.Topo,
 	}, nil

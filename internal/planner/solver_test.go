@@ -47,8 +47,8 @@ func TestSolverBeatsStaticEP(t *testing.T) {
 			t.Fatal(err)
 		}
 		staticCost := TimeCost(staticDispatch, topo, testParams())
-		if sol.Cost >= staticCost {
-			t.Errorf("seed %d: solver cost %.4f >= static %.4f", seed, sol.Cost, staticCost)
+		if sol.Cost() >= staticCost {
+			t.Errorf("seed %d: solver cost %.4f >= static %.4f", seed, sol.Cost(), staticCost)
 		}
 		solverImb := stats.Imbalance(loadsOf(sol.Dispatch()))
 		staticImb := stats.Imbalance(loadsOf(staticDispatch))
@@ -119,9 +119,9 @@ func TestSolverAblationOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sBoth.Cost > sPQ.Cost+1e-12 || sBoth.Cost > sEven.Cost+1e-12 {
+	if sBoth.Cost() > sPQ.Cost()+1e-12 || sBoth.Cost() > sEven.Cost()+1e-12 {
 		t.Errorf("combined scheme (%.4f) worse than single schemes (pq %.4f, even %.4f)",
-			sBoth.Cost, sPQ.Cost, sEven.Cost)
+			sBoth.Cost(), sPQ.Cost(), sEven.Cost())
 	}
 	neither := NewSolver(topo, 2, testParams(), SolverOptions{Epsilon: 2, DisablePQ: true, DisableEven: true})
 	if _, err := neither.Solve(r); err == nil {
@@ -147,8 +147,8 @@ func TestSolverEpsilonExpandsCandidates(t *testing.T) {
 	if sBig.Candidates != 10 || sSmall.Candidates != 2 {
 		t.Errorf("candidate counts = %d/%d, want 10/2", sBig.Candidates, sSmall.Candidates)
 	}
-	if sBig.Cost > sSmall.Cost+1e-12 {
-		t.Errorf("more candidates worsened cost: %.4f vs %.4f", sBig.Cost, sSmall.Cost)
+	if sBig.Cost() > sSmall.Cost()+1e-12 {
+		t.Errorf("more candidates worsened cost: %.4f vs %.4f", sBig.Cost(), sSmall.Cost())
 	}
 }
 

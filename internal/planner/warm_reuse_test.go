@@ -55,9 +55,9 @@ func TestSolveWarmRecycleMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !a.Layout.Equal(b.Layout) || a.Cost != b.Cost || a.Migrations != b.Migrations {
+		if !a.Layout.Equal(b.Layout) || a.Cost() != b.Cost() || a.Migrations != b.Migrations {
 			t.Fatalf("epoch %d: recycling solver diverged (cost %g vs %g, migrations %d vs %d)",
-				i, a.Cost, b.Cost, a.Migrations, b.Migrations)
+				i, a.Cost(), b.Cost(), a.Migrations, b.Migrations)
 		}
 		if err := a.Layout.Validate(recycler.C, true); err != nil {
 			t.Fatalf("epoch %d: %v", i, err)

@@ -43,7 +43,7 @@ func TestSolveWarmNilPrevIsColdSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warm.Layout.Equal(cold.Layout) || warm.Cost != sol0.Cost {
+	if !warm.Layout.Equal(cold.Layout) || warm.Cost() != sol0.Cost() {
 		t.Fatal("SolveWarm without a previous layout must match the cold solve")
 	}
 	if warm.Migrations != 0 || warm.MigrationTime != 0 {
@@ -80,8 +80,8 @@ func TestSolveWarmLayoutIsValidAndCostConsistent(t *testing.T) {
 		}
 		// The incremental score must be bit-identical to evaluating the
 		// materialized dispatch from scratch.
-		if got := TimeCost(warm.Dispatch(), s.Topo, s.Params); got != warm.Cost {
-			t.Fatalf("seed %d: incremental cost %g != materialized cost %g", seed, warm.Cost, got)
+		if got := TimeCost(warm.Dispatch(), s.Topo, s.Params); got != warm.Cost() {
+			t.Fatalf("seed %d: incremental cost %g != materialized cost %g", seed, warm.Cost(), got)
 		}
 		if warm.Migrations != MigrationMoves(sol0.Layout, warm.Layout) {
 			t.Fatalf("seed %d: reported %d migrations, counted %d",
@@ -108,8 +108,8 @@ func TestSolveWarmMigratesLessThanScratch(t *testing.T) {
 		}
 		warmMoves += warm.Migrations
 		scratchMoves += MigrationMoves(sol0.Layout, scratch.Layout)
-		warmCost += warm.Cost
-		scratchCost += scratch.Cost
+		warmCost += warm.Cost()
+		scratchCost += scratch.Cost()
 	}
 	if warmMoves >= scratchMoves {
 		t.Fatalf("warm start moved %d replicas, scratch %d — warm must migrate less", warmMoves, scratchMoves)
@@ -152,7 +152,7 @@ func TestSolveWarmForecastErrorDiscount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !same.Layout.Equal(trusted.Layout) || same.Cost != trusted.Cost {
+	if !same.Layout.Equal(trusted.Layout) || same.Cost() != trusted.Cost() {
 		t.Fatal("ForecastError 0 must reproduce the undiscounted solve")
 	}
 	neg := base
@@ -174,7 +174,7 @@ func TestSolveWarmForecastErrorDiscount(t *testing.T) {
 	sc := routePool.Get().(*routeScratch)
 	keepCost := evalLayoutCost(r1, sol0.Layout, s.Topo, s.Params, sc)
 	routePool.Put(sc)
-	improvement := keepCost - trusted.Cost
+	improvement := keepCost - trusted.Cost()
 	if improvement <= 0 {
 		t.Fatal("fixture needs a strictly improving migration")
 	}
@@ -238,8 +238,8 @@ func TestSolveWarmNegativeThresholdMovesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strict.Cost > loose.Cost {
-		t.Fatalf("negative threshold cost %g worse than keep-everything cost %g", strict.Cost, loose.Cost)
+	if strict.Cost() > loose.Cost() {
+		t.Fatalf("negative threshold cost %g worse than keep-everything cost %g", strict.Cost(), loose.Cost())
 	}
 	if err := strict.Layout.Validate(s.C, true); err != nil {
 		t.Fatal(err)

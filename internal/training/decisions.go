@@ -212,6 +212,15 @@ type layerState struct {
 	layerErr  float64   // this window's realized error (reporting)
 	streak    int       // consecutive sub-threshold error windows
 
+	// Buffers the predictive steps reuse every epoch: the forecast as a
+	// routing matrix and the realized per-expert loads. Neither outlives
+	// its step (the tracker copies what it rebases on, the predictor what
+	// it observes). Every synthesized row is the same, so synth's rows
+	// share one backing slice: it holds E ints, not N·E, and nothing on
+	// the solve path writes to a routing matrix.
+	synth    *trace.RoutingMatrix
+	realized []float64
+
 	// Fault accounting: faultTime is the wall-clock charge pending for the
 	// layer's critical path (consumed by TakeFaultCharge, deliberately
 	// untouched by PlanBoundary: boundary faults are applied before the
@@ -646,8 +655,15 @@ func (p *OnlinePlanner) planBoundaryLayer(l int) error {
 	if !p.alwaysTrust && s.streak < trustWindows {
 		return nil // shadow forecast: measure, don't act
 	}
-	r, err := forecast.SynthRouting(s.fcast, p.n, p.perDevice)
-	if err != nil {
+	if s.synth == nil {
+		row := make([]int, len(s.fcast))
+		s.synth = &trace.RoutingMatrix{N: p.n, E: len(row), R: make([][]int, p.n)}
+		for i := range s.synth.R {
+			s.synth.R[i] = row
+		}
+	}
+	r := s.synth
+	if err := forecast.SynthRoutingInto(r, s.fcast, p.perDevice); err != nil {
 		return err
 	}
 	// Stash the error the solver was discounted by: PlanEpoch runs the
@@ -726,10 +742,10 @@ func (p *OnlinePlanner) checkRouting(routing []*trace.RoutingMatrix) error {
 func (p *OnlinePlanner) observeLayer(l int, r *trace.RoutingMatrix) error {
 	s := &p.state[l]
 	if p.pred {
-		realized := r.ExpertLoads()
+		s.realized = r.ExpertLoadsInto(s.realized)
 		s.layerErr = 0
 		if s.fcastMade {
-			s.layerErr = forecast.RelativeError(s.fcast, realized)
+			s.layerErr = forecast.RelativeError(s.fcast, s.realized)
 			s.lastErr = s.layerErr
 			if s.layerErr <= p.confThr {
 				s.streak++
@@ -737,7 +753,7 @@ func (p *OnlinePlanner) observeLayer(l int, r *trace.RoutingMatrix) error {
 				s.streak = 0
 			}
 		}
-		s.predictor.Observe(realized)
+		s.predictor.Observe(s.realized)
 		if s.acted && p.alwaysTrust {
 			// Diagnostic mode: never refine. The decision still reports
 			// the balance the trusted boundary layout delivers under the

@@ -257,3 +257,53 @@ func TestFoldLostRowsConservesTokens(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanEpochAllocs pins the steady-state allocations of one PlanEpoch
+// on the 32-layer Mixtral fixture, re-planning the same routing: the
+// predictive policy reuses one synthesized matrix and one realized-load
+// vector per layer instead of allocating them at every acted boundary.
+func TestPlanEpochAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
+	for _, tc := range []struct {
+		policy ReplanPolicy
+		max    float64
+	}{
+		{ReplanWarm, 40},
+		{ReplanPredictive, 170},
+	} {
+		cfg := onlineCfg(tc.policy, trace.DriftStabilizing)
+		cfg.Parallelism = 1
+		p, err := NewOnlinePlanner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := ObservationGenerator(trace.GeneratorConfig{
+			Devices: p.Devices(), Experts: p.Experts(), Layers: p.Layers(),
+			TokensPerDevice: p.Setup().TokensPerDev, TopK: 2, Seed: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		routing := gen.StepInto(nil)
+		var boundary []LayerDecision
+		for epoch := 0; epoch < 4; epoch++ {
+			if boundary, _, err = p.PlanEpoch(routing); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tc.policy == ReplanPredictive && len(boundary) != p.Layers() {
+			t.Fatalf("predictive: %d of %d layers acted on a forecast; the pin needs every boundary acted", len(boundary), p.Layers())
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, _, err := p.PlanEpoch(routing); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs per PlanEpoch", tc.policy, allocs)
+		if allocs > tc.max {
+			t.Errorf("%s: %.0f allocs per PlanEpoch, want at most %.0f", tc.policy, allocs, tc.max)
+		}
+	}
+}

@@ -592,7 +592,7 @@ func PlanLayout(req PlanRequest) (*PlanResult, error) {
 		Replicas:    sol.Layout.ReplicaVector(),
 		Layout:      sol.Layout.Clone().A,
 		DeviceLoads: sol.Dispatch().ReceivedLoads(),
-		Cost:        sol.Cost,
+		Cost:        sol.Cost(),
 	}
 	res.ImbalanceAfter = stats.Imbalance(intsToFloats(res.DeviceLoads))
 	if static, serr := planner.EPRouting(r, req.Capacity); serr == nil {
