@@ -6,12 +6,15 @@ all: build vet test
 
 # Formatting + vet, the blocking half of the CI lint job (staticcheck and
 # govulncheck run there best-effort; install them locally to match).
+# e2ebench is its own module, which the root ./... never reaches: vetting
+# it here catches an exported-API change that breaks it.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+	cd e2ebench && $(GO) vet .
 
 # Fail when an internal package has no importer but itself (its own code,
 # in-package tests and external tests all count as itself): nothing else

@@ -94,107 +94,61 @@ func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
 
+// experiment is one registered id: run renders its tables.
+type experiment struct {
+	id  string
+	run func(Options) ([]*Table, error)
+}
+
+// tables adapts an experiment that can fail to the registry: pick selects
+// the tables of its result.
+func tables[R any](run func(Options) (R, error), pick func(R) []*Table) func(Options) ([]*Table, error) {
+	return func(opts Options) ([]*Table, error) {
+		r, err := run(opts)
+		if err != nil {
+			return nil, err
+		}
+		return pick(r), nil
+	}
+}
+
+// registry is the one registration site of every experiment, in listing
+// order: IDs reads it and Run dispatches through it.
+var registry = []experiment{
+	{"tab2", func(o Options) ([]*Table, error) { return []*Table{Table2(o)}, nil }},
+	{"fig1a", tables(Fig1a, func(r *Fig1aResult) []*Table { return []*Table{r.Table} })},
+	{"fig1b", tables(Fig1b, func(r *Fig1bResult) []*Table { return []*Table{r.Table} })},
+	{"fig2", func(o Options) ([]*Table, error) { return []*Table{Fig2(o).Table}, nil }},
+	{"fig8", tables(Fig8, func(r *Fig8Result) []*Table { return []*Table{r.Table} })},
+	{"fig9", tables(Fig9, func(r *Fig9Result) []*Table { return []*Table{r.Table, r.ErrorTable} })},
+	{"fig10a", tables(Fig10a, func(r *Fig10aResult) []*Table { return []*Table{r.Table} })},
+	{"fig10b", tables(Fig10b, func(r *Fig10bResult) []*Table { return []*Table{r.Table} })},
+	{"tab3", tables(Table3, func(r *Table3Result) []*Table { return []*Table{r.Table} })},
+	{"fig11", tables(Fig11, func(r *Fig11Result) []*Table { return []*Table{r.Table} })},
+	{"fig12", tables(Fig12, func(r *Fig12Result) []*Table { return []*Table{r.Table} })},
+	{"tab4", tables(Table4, func(r *Table4Result) []*Table { return []*Table{r.Table} })},
+	{"eq1", func(o Options) ([]*Table, error) { return []*Table{Eq1(o).Table}, nil }},
+	{"forecast", tables(Forecast, func(r *ForecastResult) []*Table { return []*Table{r.Table} })},
+	{"scale", tables(Scale, func(r *ScaleResult) []*Table { return []*Table{r.Table} })},
+	{"resilience", tables(Resilience, func(r *ResilienceResult) []*Table { return []*Table{r.Table} })},
+	{"inference", tables(Inference, func(r *InferenceResult) []*Table { return []*Table{r.Table} })},
+}
+
 // IDs lists every runnable experiment id.
 func IDs() []string {
-	return []string{"tab2", "fig1a", "fig1b", "fig2", "fig8", "fig9",
-		"fig10a", "fig10b", "tab3", "fig11", "fig12", "tab4", "eq1", "forecast", "scale", "resilience", "inference"}
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 // Run dispatches an experiment by id and returns its tables.
 func Run(id string, opts Options) ([]*Table, error) {
-	switch id {
-	case "tab2":
-		return []*Table{Table2(opts)}, nil
-	case "fig1a":
-		r, err := Fig1a(opts)
-		if err != nil {
-			return nil, err
+	for _, e := range registry {
+		if e.id == id {
+			return e.run(opts)
 		}
-		return []*Table{r.Table}, nil
-	case "fig1b":
-		r, err := Fig1b(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table}, nil
-	case "fig2":
-		r := Fig2(opts)
-		return []*Table{r.Table}, nil
-	case "fig8":
-		r, err := Fig8(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table}, nil
-	case "fig9":
-		r, err := Fig9(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table, r.ErrorTable}, nil
-	case "fig10a":
-		r, err := Fig10a(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table}, nil
-	case "fig10b":
-		r, err := Fig10b(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table}, nil
-	case "tab3":
-		r, err := Table3(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table}, nil
-	case "fig11":
-		r, err := Fig11(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table}, nil
-	case "fig12":
-		r, err := Fig12(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table}, nil
-	case "tab4":
-		r, err := Table4(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table}, nil
-	case "eq1":
-		r := Eq1(opts)
-		return []*Table{r.Table}, nil
-	case "forecast":
-		r, err := Forecast(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table}, nil
-	case "scale":
-		r, err := Scale(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table}, nil
-	case "resilience":
-		r, err := Resilience(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table}, nil
-	case "inference":
-		r, err := Inference(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{r.Table}, nil
 	}
 	return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 }

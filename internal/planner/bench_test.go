@@ -133,8 +133,8 @@ func BenchmarkSolveWarm(b *testing.B) {
 	}
 	prevLoads := r0.ExpertLoads()
 
-	// The production keep path: a drift tracker rides along (as the online
-	// planner's warm starts do), so an observation posted twice unchanged
+	// The production keep path: a drift tracker rides along (as a tracked
+	// Layer's warm starts do), so an observation posted twice unchanged
 	// folds in as a matrix diff with no changed cell, and the keep verdict
 	// scores no cost.
 	tr := NewDriftTracker(topo)
@@ -144,7 +144,7 @@ func BenchmarkSolveWarm(b *testing.B) {
 	b.Run("keep", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.SolveWarm(r0, WarmStart{Prev: sol0.Layout, PrevLoads: prevLoads, Tracker: tr}); err != nil {
+			if _, err := s.solveWarm(r0, WarmStart{Prev: sol0.Layout, PrevLoads: prevLoads}, tr); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -174,7 +174,7 @@ func BenchmarkSolveWarm(b *testing.B) {
 			r.R[0][to]++
 			r.R[1][to]--
 			r.R[1][from]++
-			sol, err := s.SolveWarm(r, WarmStart{Prev: sol0.Layout, PrevLoads: prevLoads, Tracker: tr})
+			sol, err := s.solveWarm(r, WarmStart{Prev: sol0.Layout, PrevLoads: prevLoads}, tr)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package planner
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"laermoe/internal/topology"
 	"laermoe/internal/trace"
@@ -37,9 +38,10 @@ import (
 //     float division exactly.
 //
 // A tracker is bound to one (layout, planned loads, threshold) epoch by
-// Rebase and must be Invalidated whenever the layout or the topology
-// changes behind its back (fault repair, forced re-layout). It is not safe
-// for concurrent use.
+// Rebase and must be Invalidated whenever the layout, the planned loads or
+// the topology change. Layer owns a layer's tracker and is the one place
+// that rebases and invalidates it, so the tracked solve never checks the
+// binding. It is not safe for concurrent use.
 type DriftTracker struct {
 	topo *topology.Topology
 	e, n int
@@ -47,20 +49,14 @@ type DriftTracker struct {
 	prev     *trace.RoutingMatrix // retained copy of the last observed matrix
 	loads    []float64            // per-expert totals of prev (integer-valued)
 	base     []float64            // planned loads the threshold measures against
-	baseSrc  []float64            // the caller's slice Rebase was handed (identity check)
 	over     []bool               // per-expert over-threshold flags
 	overIdx  []int                // scratch: experts touched by the last Update
 	touch    []int32              // scratch: 1+position in overIdx during an Update
-	devLoads []int                // per-device received loads under layout
-	sc       routeScratch         // replica lists of layout
-	layout   *Layout
+	devLoads []int                // per-device received loads under the bound layout
+	sc       routeScratch         // replica lists of the bound layout
 	thr      float64
 
 	valid bool
-
-	// lifetime counters, exposed for reporting
-	updates   int
-	cellsSeen int
 }
 
 // NewDriftTracker builds a tracker for the given cluster. It starts
@@ -92,64 +88,15 @@ func drifted(load, base, thr float64) bool {
 	return math.Abs(load-base)/denom > thr
 }
 
-// Valid reports whether the tracker is bound to a layout.
-func (t *DriftTracker) Valid() bool { return t.valid }
-
 // Invalidate unbinds the tracker; the next decision must take the full
-// path and Rebase. Call it whenever the layout, the planned loads or the
-// topology change outside the tracker's view.
+// path and Rebase.
 func (t *DriftTracker) Invalidate() { t.valid = false }
 
-// Layout returns the layout the tracker is bound to (nil when invalid).
-func (t *DriftTracker) Layout() *Layout {
-	if !t.valid {
-		return nil
-	}
-	return t.layout
-}
-
-// Loads returns the per-expert load totals of the last folded observation.
-// The slice aliases tracker state: read-only, valid until the next
-// Update/Rebase.
-func (t *DriftTracker) Loads() []float64 { return t.loads }
-
-// Updates returns how many observations have been folded in since the
-// last Rebase, and CellsChanged the total changed cells they carried.
-func (t *DriftTracker) Updates() int      { return t.updates }
-func (t *DriftTracker) CellsChanged() int { return t.cellsSeen }
-
-// synced reports whether the tracker describes exactly the warm start
-// (prev layout, planned-loads slice identity, normalized threshold) a
-// SolveWarm call is about to score — the precondition for substituting
-// tracker state for the full re-scan.
-func (t *DriftTracker) synced(prev *Layout, prevLoads []float64, thr float64) bool {
-	if !t.valid || t.layout != prev || t.thr != thr {
-		return false
-	}
-	if len(prevLoads) != len(t.baseSrc) {
-		return false
-	}
-	// A nil/empty baseline means "no planned loads yet": SolveWarm treats
-	// every expert as moved and must take the full path, so the tracker
-	// never engages for it.
-	return len(prevLoads) > 0 && &prevLoads[0] == &t.baseSrc[0]
-}
-
-// Synced reports whether the tracker currently describes exactly the warm
-// start (layout pointer, planned-loads slice identity, raw threshold) a
-// SolveWarm call would be handed — i.e. whether WarmStart.Tracker will
-// engage for that call.
-func (t *DriftTracker) Synced(prev *Layout, prevLoads []float64, threshold float64) bool {
-	return t.synced(prev, prevLoads, normalizeWarmThreshold(threshold))
-}
-
-// Rebase rebinds the tracker: layout is the layout now in force, base the
-// per-expert loads it was planned for (SolveWarm's PrevLoads; the slice is
-// copied, but its identity is remembered so synced() can cheaply verify a
-// later warm start refers to the same baseline), threshold the raw
-// WarmStart.Threshold, and r the observation the layout was installed
-// against. Everything is recomputed from scratch — Rebase runs right after
-// a full solve, whose cost it amortizes.
+// Rebase binds the tracker: layout is the layout now in force, base the
+// per-expert loads it was planned for (SolveWarm's PrevLoads, copied),
+// threshold the raw WarmStart.Threshold, and r the observation the layout
+// was installed against. Everything is recomputed from scratch — Rebase
+// runs right after a full solve, whose cost it amortizes.
 func (t *DriftTracker) Rebase(r *trace.RoutingMatrix, layout *Layout, base []float64, threshold float64) error {
 	if layout == nil {
 		return fmt.Errorf("planner: drift tracker rebased onto nil layout")
@@ -157,13 +104,11 @@ func (t *DriftTracker) Rebase(r *trace.RoutingMatrix, layout *Layout, base []flo
 	if r.E != layout.E || r.N != layout.N {
 		return fmt.Errorf("planner: drift tracker routing %dx%d does not match layout %dx%d", r.N, r.E, layout.N, layout.E)
 	}
-	if base != nil && len(base) != r.E {
+	if len(base) != r.E {
 		return fmt.Errorf("planner: drift tracker has %d base loads for %d experts", len(base), r.E)
 	}
 	t.e, t.n = r.E, r.N
-	t.layout = layout
 	t.thr = normalizeWarmThreshold(threshold)
-	t.baseSrc = base
 
 	if t.prev == nil || t.prev.N != r.N || t.prev.E != r.E {
 		t.prev = trace.NewRoutingMatrix(r.N, r.E)
@@ -182,11 +127,7 @@ func (t *DriftTracker) Rebase(r *trace.RoutingMatrix, layout *Layout, base []flo
 	t.base = t.base[:t.e]
 	t.over = t.over[:t.e]
 	t.touch = t.touch[:t.e]
-	if base == nil {
-		copy(t.base, t.loads)
-	} else {
-		copy(t.base, base)
-	}
+	copy(t.base, base)
 	for j := 0; j < t.e; j++ {
 		t.over[j] = drifted(t.loads[j], t.base[j], t.thr)
 		t.touch[j] = 0
@@ -205,24 +146,21 @@ func (t *DriftTracker) Rebase(r *trace.RoutingMatrix, layout *Layout, base []flo
 	})
 
 	t.valid = true
-	t.updates = 0
-	t.cellsSeen = 0
 	return nil
 }
 
 // Update folds one observation in: it diffs r against the retained
 // previous matrix, replays each changed cell's token split into the
 // per-device loads, adjusts the per-expert totals and re-evaluates the
-// threshold flags of the touched experts. Returns the number of changed
-// cells. The tracker must be valid and r must match its shape.
-func (t *DriftTracker) Update(r *trace.RoutingMatrix) (int, error) {
+// threshold flags of the touched experts. The tracker must be valid and r
+// must match its shape.
+func (t *DriftTracker) Update(r *trace.RoutingMatrix) error {
 	if !t.valid {
-		return 0, fmt.Errorf("planner: drift tracker update before rebase")
+		return fmt.Errorf("planner: drift tracker update before rebase")
 	}
 	if r.N != t.n || r.E != t.e {
-		return 0, fmt.Errorf("planner: drift tracker update %dx%d, tracking %dx%d", r.N, r.E, t.n, t.e)
+		return fmt.Errorf("planner: drift tracker update %dx%d, tracking %dx%d", r.N, r.E, t.n, t.e)
 	}
-	changed := 0
 	t.overIdx = t.overIdx[:0]
 	for i := 0; i < t.n; i++ {
 		prow, nrow := t.prev.R[i], r.R[i]
@@ -231,7 +169,6 @@ func (t *DriftTracker) Update(r *trace.RoutingMatrix) (int, error) {
 			if nv == pv {
 				continue
 			}
-			changed++
 			t.splitCell(i, j, pv, -1)
 			t.splitCell(i, j, nv, +1)
 			t.loads[j] += float64(nv - pv)
@@ -246,9 +183,7 @@ func (t *DriftTracker) Update(r *trace.RoutingMatrix) (int, error) {
 		t.touch[j] = 0
 		t.over[j] = drifted(t.loads[j], t.base[j], t.thr)
 	}
-	t.updates++
-	t.cellsSeen += changed
-	return changed, nil
+	return nil
 }
 
 // splitCell replays forEachAssignment's token split of one (rank, expert,
@@ -283,28 +218,12 @@ func (t *DriftTracker) splitCell(rank, j, tokens, sign int) {
 	}
 }
 
-// AnyOver reports whether any expert's accumulated drift crossed the
-// threshold — exactly SolveWarm's anyMoved for the tracked warm start.
-func (t *DriftTracker) AnyOver() bool {
-	if !t.valid {
-		return true
-	}
-	for _, o := range t.over {
-		if o {
-			return true
-		}
-	}
-	return false
-}
-
 // CanKeep reports that the full warm solve is guaranteed to keep the
 // bound layout for the current observation: the tracker is valid and no
-// expert drifted past the threshold.
-func (t *DriftTracker) CanKeep() bool { return t.valid && !t.AnyOver() }
-
-// copyOver writes the per-expert over-threshold flags into dst (len E) —
-// SolveWarm's moved[] without the re-scan.
-func (t *DriftTracker) copyOver(dst []bool) { copy(dst, t.over) }
+// expert drifted past the threshold (SolveWarm's anyMoved is false).
+func (t *DriftTracker) CanKeep() bool {
+	return t.valid && !slices.Contains(t.over, true)
+}
 
 // Imbalance returns LiteImbalance(r, layout, topo) for the tracked state,
 // from the incrementally maintained integer device loads: same

@@ -40,9 +40,9 @@ func (s RepairStats) Changed() bool { return s.LostReplicas > 0 }
 // replica per expert is an error.
 //
 // loads are the per-expert loads the repaired layout is balanced for (the
-// planner's last planned loads); nil balances for uniform loads. A layout
-// with no replicas on dead devices is returned unchanged (zero stats), so
-// joins and degradations never force a replan.
+// planner's last planned loads); an empty (or nil) vector balances for
+// uniform loads. A layout with no replicas on dead devices is returned
+// unchanged (zero stats), so joins and degradations never force a replan.
 //
 // Repair draws no randomness and shares the solver's scratch arenas, so
 // it must not run concurrently with SolveWarm on the same solver.
@@ -84,7 +84,7 @@ func (s *Solver) Repair(prev *Layout, loads []float64) (*Layout, RepairStats, er
 	if st.LostReplicas == 0 {
 		return prev, st, nil
 	}
-	if loads == nil {
+	if len(loads) == 0 {
 		loads = w.loads
 		for j := range loads {
 			loads[j] = 1

@@ -273,8 +273,9 @@ const DefaultWarmThreshold = 0.2
 type WarmStart struct {
 	// Prev is the layout currently in force.
 	Prev *Layout
-	// PrevLoads are the per-expert loads Prev was planned for. nil marks
-	// every expert as moved, i.e. a full incremental re-place.
+	// PrevLoads are the per-expert loads Prev was planned for. An empty
+	// (or nil) vector marks every expert as moved, i.e. a full incremental
+	// re-place.
 	PrevLoads []float64
 	// Threshold is the relative load change past which an expert is
 	// re-placed. 0 selects DefaultWarmThreshold; a negative value
@@ -295,16 +296,6 @@ type WarmStart struct {
 	// matrix, or a perfect forecast) reproduces the undiscounted score;
 	// negative values are clamped to 0.
 	ForecastError float64
-
-	// Tracker, when non-nil and synchronized with this warm start (bound
-	// to Prev, rebased with the identical PrevLoads slice and the same
-	// threshold), supplies the drift state incrementally: the solve folds
-	// the routing in as a delta, skips the full load re-scan and moved-set
-	// sweep, and — when nothing crossed the threshold — returns the keep
-	// verdict without scoring the layer (Solution.Cost scores it if asked).
-	// The result is bit-identical to the untracked path (see DriftTracker);
-	// a desynchronized tracker is ignored.
-	Tracker *DriftTracker
 }
 
 // SolveWarm incrementally re-solves a layout from a previous epoch's
@@ -324,6 +315,18 @@ type WarmStart struct {
 // the returned Solution; consequently a Solver must not run concurrent
 // SolveWarm calls.
 func (s *Solver) SolveWarm(r *trace.RoutingMatrix, warm WarmStart) (*Solution, error) {
+	return s.solveWarm(r, warm, nil)
+}
+
+// solveWarm is SolveWarm carried by a drift tracker when tr is non-nil.
+// The caller guarantees tr is bound to exactly this warm start (Prev,
+// PrevLoads, Threshold); Layer is the caller that keeps it so. The solve
+// then folds the routing in as a delta, skips the load re-scan and the
+// moved-set sweep, and, when nothing crossed the threshold, returns the
+// keep verdict without scoring the layer (Solution.Cost scores it if
+// asked). The result is bit-identical to the untracked path (see
+// DriftTracker).
+func (s *Solver) solveWarm(r *trace.RoutingMatrix, warm WarmStart, tr *DriftTracker) (*Solution, error) {
 	if warm.Prev == nil {
 		return s.Solve(r)
 	}
@@ -338,18 +341,18 @@ func (s *Solver) SolveWarm(r *trace.RoutingMatrix, warm WarmStart) (*Solution, e
 	w := &s.warm
 	w.resize(r.E, n)
 
-	// With a synchronized drift tracker the load re-scan and the moved-set
-	// sweep collapse into one delta fold — amortized O(changed cells) —
-	// and a below-threshold epoch returns the keep verdict unscored, never
+	// With a drift tracker the load re-scan and the moved-set sweep
+	// collapse into one delta fold — amortized O(changed cells) — and a
+	// below-threshold epoch returns the keep verdict unscored, never
 	// touching the O(N·E) cost evaluation at all.
 	var loads []float64
 	moved := w.moved
 	anyMoved := false
-	if tr := warm.Tracker; tr != nil && tr.synced(warm.Prev, warm.PrevLoads, thr) {
-		if _, err := tr.Update(r); err != nil {
+	if tr != nil {
+		if err := tr.Update(r); err != nil {
 			return nil, err
 		}
-		loads = tr.Loads()
+		loads = tr.loads
 		if tr.CanKeep() {
 			return &Solution{
 				Layout:     warm.Prev,
@@ -359,12 +362,12 @@ func (s *Solver) SolveWarm(r *trace.RoutingMatrix, warm WarmStart) (*Solution, e
 				topo:       s.Topo,
 			}, nil
 		}
-		tr.copyOver(moved)
+		copy(moved, tr.over) // SolveWarm's moved[] without the re-scan
 		anyMoved = true
 	} else {
 		loads = r.ExpertLoadsInto(w.loads)
 		switch {
-		case warm.PrevLoads == nil:
+		case len(warm.PrevLoads) == 0:
 			for j := range moved {
 				moved[j] = true
 			}

@@ -109,20 +109,21 @@ type EpochSummary struct {
 	RestoreTime float64 `json:"restore_time_s,omitempty"`
 
 	// IncrementalSolves counts the epoch's planning-step solves that ran
-	// through a synchronized drift tracker — amortized O(drifted experts)
-	// instead of a full re-score — and FullSolves those that re-scanned the
-	// whole layer (cold start, post-replan rebase, faults, or incremental
-	// planning disabled). Their sum is the epoch's solve count; both are
-	// absent from the wire format when zero.
+	// through a bound drift tracker — amortized O(drifted experts) instead
+	// of a full re-score — and FullSolves those that re-scanned the whole
+	// layer (no planned loads yet, the first solve after a fault or a state
+	// restore, the scratch policy, or incremental planning disabled). Their
+	// sum is the epoch's solve count; both are absent from the wire format
+	// when zero.
 	IncrementalSolves int `json:"incremental_solves,omitempty"`
 	FullSolves        int `json:"full_solves,omitempty"`
 }
 
 // OnlinePlanner is the per-epoch re-layout decision core shared by
 // RunOnline and the laer-serve planning service: one layerState per MoE
-// layer (its warm-start solver with the solver's scratch arena, planned
-// loads, drift tracker, forecaster and this epoch's outcome) plus the
-// layouts currently in force. An epoch is driven as PlanBoundary
+// layer (its planner.Layer, which owns the layout in force, its planned
+// loads, solver and drift tracker, plus the layer's forecaster and this
+// epoch's outcome). An epoch is driven as PlanBoundary
 // (forecast-driven boundary replans, a no-op for reactive policies)
 // followed by Observe (the post-observation reactive replan), after which
 // Summarize reports the epoch's aggregate outcome.
@@ -141,8 +142,8 @@ type OnlinePlanner struct {
 	layers int
 	n      int
 
-	// layouts is the layout in force per layer, kept apart from state
-	// because Layouts hands the slice itself to the executor.
+	// layouts is the view Layouts hands the executor: each layer's
+	// layout in force, refreshed from state on every call.
 	layouts []*planner.Layout
 	state   []layerState
 
@@ -177,29 +178,14 @@ const (
 	stepObserve         // after the observation iteration
 )
 
-// stepOutcome is what one planning step did to one layer this epoch.
-type stepOutcome struct {
-	moves   int
-	migTime float64
-	imb     float64 // predicted imbalance of the layout left in force
-	changed bool
-}
-
 // layerState is everything one MoE layer plans with. Each planning step
 // reads and writes only its own layer's state, so layers fan across the
 // worker pool without racing.
 type layerState struct {
-	solver       *planner.Solver
-	owned        bool // the layout in force came from solver and may be recycled
-	plannedLoads []float64
-
-	// tracker accumulates the layer's per-expert load drift between solves
-	// so steady-state decisions run without re-scoring the layer (nil when
-	// the policy never warm-starts or incremental planning is disabled).
-	// It is rebased after every solve that it did not carry through, and
-	// invalidated whenever faults mutate the topology or the layout it is
-	// bound to leaves force.
-	tracker *planner.DriftTracker
+	// plan owns the layer's re-layout state: the layout in force, the
+	// loads it was planned for, the solver and (for a warm-starting policy
+	// with incremental planning on) the drift tracker.
+	plan *planner.Layer
 
 	// Predictive state (zero for reactive policies).
 	predictor forecast.Predictor
@@ -214,8 +200,8 @@ type layerState struct {
 
 	// Buffers the predictive steps reuse every epoch: the forecast as a
 	// routing matrix and the realized per-expert loads. Neither outlives
-	// its step (the tracker copies what it rebases on, the predictor what
-	// it observes). Every synthesized row is the same, so synth's rows
+	// its step (plan copies what it plans for, the predictor what it
+	// observes). Every synthesized row is the same, so synth's rows
 	// share one backing slice: it holds E ints, not N·E, and nothing on
 	// the solve path writes to a routing matrix.
 	synth    *trace.RoutingMatrix
@@ -230,9 +216,9 @@ type layerState struct {
 	faultRestored int
 
 	// This epoch's outcome per planning step, and how many of its solves
-	// ran through a synchronized drift tracker versus a full re-score.
-	// Cleared by resetEpoch.
-	step                  [2]stepOutcome
+	// ran through a bound drift tracker versus a full re-score. Cleared by
+	// resetEpoch.
+	step                  [2]planner.Step
 	incSolves, fullSolves int
 }
 
@@ -254,11 +240,6 @@ func NewOnlinePlanner(cfg OnlineConfig) (*OnlinePlanner, error) {
 	}
 	if cfg.Workload == WorkloadInference {
 		if err := cfg.Arrival.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	if spec.Validate != nil {
-		if err := spec.Validate(&cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -325,11 +306,8 @@ func NewOnlinePlanner(cfg OnlineConfig) (*OnlinePlanner, error) {
 		s := &p.state[l]
 		opts := planner.DefaultSolverOptions()
 		opts.Seed = cfg.Seed + int64(l) + 1
-		s.solver = planner.NewSolver(topo, arch.ExpertCapacity, setup.Params, opts)
-		p.layouts[l] = initial
-		if spec.Tracks && !cfg.DisableIncremental {
-			s.tracker = planner.NewDriftTracker(topo)
-		}
+		solver := planner.NewSolver(topo, arch.ExpertCapacity, setup.Params, opts)
+		s.plan = planner.NewLayer(solver, initial, spec.WarmStarts, !cfg.DisableIncremental, cfg.MigrationThreshold)
 		if p.pred {
 			if s.predictor, err = forecast.New(cfg.Predictor, arch.Experts); err != nil {
 				return nil, err
@@ -363,9 +341,15 @@ func (p *OnlinePlanner) Experts() int { return p.arch.Experts }
 
 // Layouts returns the per-layer layouts currently in force. The slice and
 // the layouts are owned by the planner: callers must treat them as
-// read-only and must not retain layouts across planning steps (a replan
-// recycles dropped layouts through the solver scratch arenas).
-func (p *OnlinePlanner) Layouts() []*planner.Layout { return p.layouts }
+// read-only and must not retain either across planning steps (the next
+// call refreshes the slice, and a replan recycles dropped layouts through
+// the solver scratch arenas).
+func (p *OnlinePlanner) Layouts() []*planner.Layout {
+	for l := range p.state {
+		p.layouts[l] = p.state[l].plan.Layout()
+	}
+	return p.layouts
+}
 
 // MigrationCharge returns the simulated seconds of migration charged on
 // the critical path of iteration it (0 or 1) for layer l this epoch:
@@ -375,7 +359,12 @@ func (p *OnlinePlanner) MigrationCharge(it, l int) float64 {
 	if it != stepBoundary && it != stepObserve {
 		return 0
 	}
-	return p.state[l].step[it].migTime
+	return p.migTime(p.state[l].step[it].Moves)
+}
+
+// migTime is the simulated seconds charged for moving moves replicas.
+func (p *OnlinePlanner) migTime(moves int) float64 {
+	return float64(moves) * p.cfg.MigrationCostPerReplica
 }
 
 // Topo returns the planner's private topology clone — the membership and
@@ -425,11 +414,6 @@ func (p *OnlinePlanner) ApplyFaults(events []faults.Event) ([]LayerDecision, err
 		}
 	}
 	p.faultEvents += len(events)
-	// Membership and degradation change the token splits (and the live-
-	// device mean) behind every tracker's accumulators, and the repairs
-	// below may mutate layouts in place: the incremental state is stale
-	// either way, so the next solve per layer takes the full path.
-	p.invalidateTrackers()
 	if !p.spec.Replans {
 		// A policy with no replan move (static, and the dispatch-time
 		// baselines) can only recover by checkpoint restore.
@@ -438,20 +422,15 @@ func (p *OnlinePlanner) ApplyFaults(events []faults.Event) ([]LayerDecision, err
 	decs := make([]LayerDecision, p.layers)
 	err := p.fanout(func(l int) error {
 		s := &p.state[l]
-		loads := s.plannedLoads
-		if len(loads) == 0 {
-			loads = nil // no plan yet: repair balances for uniform loads
-		}
-		next, st, rerr := s.solver.Repair(p.layouts[l], loads)
+		st, rerr := s.plan.Repair()
 		if rerr != nil {
 			return rerr
 		}
 		action := ActionKeep
-		if next != p.layouts[l] {
+		if st.Changed() {
 			action = ActionElasticRepair
-			p.installLayout(l, next)
 		}
-		migTime := float64(st.Moves) * p.cfg.MigrationCostPerReplica
+		migTime := p.migTime(st.Moves)
 		resTime := float64(st.Restored) * p.restoreCost
 		s.faultMoves += st.Moves
 		s.faultRestored += st.Restored
@@ -478,7 +457,7 @@ func (p *OnlinePlanner) staticRestore() ([]LayerDecision, error) {
 	lost := 0
 	for d := 0; d < p.n; d++ {
 		if !p.topo.Available(d) {
-			lost += p.layouts[0].DeviceCount(d)
+			lost += p.state[0].plan.Layout().DeviceCount(d)
 		}
 	}
 	decs := make([]LayerDecision, p.layers)
@@ -499,11 +478,7 @@ func (p *OnlinePlanner) staticRestore() ([]LayerDecision, error) {
 	resTime := float64(total) * p.restoreCost
 	for l := range p.state {
 		s := &p.state[l]
-		if s.owned {
-			s.solver.Recycle(p.layouts[l])
-		}
-		p.layouts[l] = restore
-		s.owned = false
+		s.plan.Reset(restore)
 		s.faultRestored += total
 		s.faultTime += resTime
 		decs[l] = LayerDecision{
@@ -525,119 +500,34 @@ func (p *OnlinePlanner) fanout(fn func(l int) error) error {
 	return par.ForEach(p.workers, p.layers, fn)
 }
 
-// invalidateTrackers unbinds every layer's drift tracker, so the next
-// solve per layer takes the full path.
-func (p *OnlinePlanner) invalidateTrackers() {
-	for l := range p.state {
-		if tr := p.state[l].tracker; tr != nil {
-			tr.Invalidate()
-		}
-	}
-}
-
-// installLayout swaps a replan result into force for a layer, recycling
-// the dropped layout through the solver's scratch arena. The recycling is
-// what keeps steady-state boundary solves allocation-free. A tracker
-// still bound to the dropped layout is unbound first: the arena may
-// reissue the same buffer later, and a pointer-matched but rewritten
-// layout must never pass the tracker's sync check.
-func (p *OnlinePlanner) installLayout(l int, next *planner.Layout) {
-	s := &p.state[l]
-	if s.tracker != nil && s.tracker.Layout() == p.layouts[l] {
-		s.tracker.Invalidate()
-	}
-	if s.owned {
-		s.solver.Recycle(p.layouts[l])
-	}
-	p.layouts[l] = next
-	s.owned = true
-}
-
 // resetEpoch clears the per-epoch planning outcome.
 func (p *OnlinePlanner) resetEpoch() {
 	for l := range p.state {
 		s := &p.state[l]
-		s.step = [2]stepOutcome{}
+		s.step = [2]planner.Step{}
 		s.incSolves, s.fullSolves = 0, 0
 	}
 	p.observed = false
 }
 
 // solveStep is one planning step's keep-or-replan decision for layer l
-// against routing r, booked in s.step[step]. The scratch policy re-solves
-// from nothing; every other policy warm-starts from the layout in force,
-// with the drift tracker carrying the solve incrementally when it is
-// synchronized (the decision is byte-identical either way). forecastErr
-// discounts the solver's keep-versus-migrate score for a forecast r, and
-// plannedFor is the load vector a re-layout is planned for (nil: r's own
-// expert loads).
+// against routing r, booked in s.step[step]. The layer's plan decides it
+// (see planner.Layer.Replan): forecastErr discounts the keep-versus-migrate
+// score for a forecast r, and plannedFor is the load vector a re-layout is
+// planned for (nil: r's own expert loads).
 func (p *OnlinePlanner) solveStep(l, step int, r *trace.RoutingMatrix, forecastErr float64, plannedFor []float64) error {
 	s := &p.state[l]
-	prev := p.layouts[l]
-	tr := s.tracker
-	synced := false
-	var sol *planner.Solution
-	var err error
-	if p.cfg.Policy == ReplanScratch {
-		sol, err = s.solver.Solve(r)
-	} else {
-		synced = tr != nil && tr.Synced(prev, s.plannedLoads, p.cfg.MigrationThreshold)
-		sol, err = s.solver.SolveWarm(r, planner.WarmStart{
-			Prev:          prev,
-			PrevLoads:     s.plannedLoads,
-			Threshold:     p.cfg.MigrationThreshold,
-			MigrationCost: p.scoreMigCost,
-			ForecastError: forecastErr,
-			Tracker:       tr,
-		})
-	}
+	st, err := s.plan.Replan(r, p.scoreMigCost, forecastErr, plannedFor)
 	if err != nil {
 		return err
 	}
-	if synced {
+	s.step[step] = st
+	if st.Incremental {
 		s.incSolves++
 	} else {
 		s.fullSolves++
 	}
-	kept := sol.Layout == prev
-	out := &s.step[step]
-	out.moves = planner.MigrationMoves(prev, sol.Layout)
-	out.migTime = float64(out.moves) * p.cfg.MigrationCostPerReplica
-	if kept && synced {
-		// The tracker folded r in and maintained the lite routing's device
-		// loads, so the predicted balance costs O(devices) instead of an
-		// O(N·E) re-route, bit-identical by construction.
-		out.imb = tr.Imbalance()
-	} else {
-		// The predicted balance streams through the planner's pooled
-		// router scratch: no Dispatch is materialized on the solve path.
-		out.imb = planner.LiteImbalance(r, sol.Layout, p.topo)
-	}
-	// The threshold baseline advances only when the layout was actually
-	// re-planned: while a solve keeps the previous layout, its reference
-	// loads stay put, so slow drift accumulates against them instead of
-	// ratcheting the baseline forward and never firing.
-	if !kept {
-		out.changed = true
-		p.installLayout(l, sol.Layout)
-		if plannedFor == nil {
-			s.plannedLoads = r.ExpertLoadsInto(s.plannedLoads)
-		} else {
-			s.plannedLoads = append(s.plannedLoads[:0], plannedFor...)
-		}
-	}
-	if tr == nil || (kept && synced) {
-		return nil
-	}
-	// Re-anchor the tracker on the routing the layout in force was just
-	// decided against. A layer with no planned loads yet carries no usable
-	// baseline (SolveWarm fully re-scores it regardless), so its tracker
-	// stays unbound until the first replan.
-	if len(s.plannedLoads) == 0 {
-		tr.Invalidate()
-		return nil
-	}
-	return tr.Rebase(r, p.layouts[l], s.plannedLoads, p.cfg.MigrationThreshold)
+	return nil
 }
 
 // planBoundaryLayer is the per-layer body of the predictive boundary
@@ -758,14 +648,14 @@ func (p *OnlinePlanner) observeLayer(l int, r *trace.RoutingMatrix) error {
 			// Diagnostic mode: never refine. The decision still reports
 			// the balance the trusted boundary layout delivers under the
 			// realized routing.
-			s.step[stepObserve].imb = planner.LiteImbalance(r, p.layouts[l], p.topo)
+			s.step[stepObserve].Imbalance = planner.LiteImbalance(r, s.plan.Layout(), p.topo)
 			return nil
 		}
 	}
 	if err := p.solveStep(l, stepObserve, r, 0, nil); err != nil {
 		return err
 	}
-	s.corrected = s.acted && s.step[stepObserve].changed
+	s.corrected = s.acted && s.step[stepObserve].Changed
 	return nil
 }
 
@@ -789,18 +679,18 @@ func (p *OnlinePlanner) decisions(step int) []LayerDecision {
 		out := s.step[step]
 		action := ActionKeep
 		switch {
-		case !out.changed:
+		case !out.Changed:
 		case step == stepBoundary:
 			action = ActionPredictiveReplan
-		case p.cfg.Policy == ReplanScratch:
+		case !p.spec.WarmStarts:
 			action = ActionScratchReplan
 		default:
 			action = ActionWarmReplan
 		}
 		decs = append(decs, LayerDecision{
 			Layer: l, Action: action,
-			Moves: out.moves, MigrationTime: out.migTime,
-			PredictedImbalance: out.imb,
+			Moves: out.Moves, MigrationTime: p.migTime(out.Moves),
+			PredictedImbalance: out.Imbalance,
 			ForecastError:      ferr,
 		})
 	}
@@ -851,10 +741,11 @@ func (p *OnlinePlanner) Summarize() EpochSummary {
 	for l := range p.state {
 		s := &p.state[l]
 		b, o := &s.step[stepBoundary], &s.step[stepObserve]
-		sum.Migrations += b.moves + o.moves
-		sum.MigrationTime += b.migTime + o.migTime
-		sum.BoundaryMigrationTime += b.migTime
-		imbSum += o.imb
+		bt := p.migTime(b.Moves)
+		sum.Migrations += b.Moves + o.Moves
+		sum.MigrationTime += bt + p.migTime(o.Moves)
+		sum.BoundaryMigrationTime += bt
+		imbSum += o.Imbalance
 		sum.IncrementalSolves += s.incSolves
 		sum.FullSolves += s.fullSolves
 		if s.acted {
@@ -884,7 +775,7 @@ func (p *OnlinePlanner) Summarize() EpochSummary {
 	for l := range p.state {
 		s := &p.state[l]
 		sum.Migrations += s.faultMoves
-		sum.MigrationTime += float64(s.faultMoves) * p.cfg.MigrationCostPerReplica
+		sum.MigrationTime += p.migTime(s.faultMoves)
 		sum.Restored += s.faultRestored
 		sum.RestoreTime += float64(s.faultRestored) * p.restoreCost
 		s.faultMoves, s.faultRestored = 0, 0

@@ -47,20 +47,17 @@ type PolicySpec struct {
 
 	// Replans: the policy plans re-layouts from observations (static-like
 	// policies keep the initial layout and skip Observe/PlanBoundary
-	// work entirely). Tracks: the policy carries per-layer drift trackers
-	// for incremental warm solves. Predictive: the policy forecasts loads
-	// at epoch boundaries.
+	// work entirely). WarmStarts: the policy re-solves from the layout in
+	// force (incrementally, drift-tracked unless
+	// OnlineConfig.DisableIncremental) rather than from scratch.
+	// Predictive: the policy forecasts loads at epoch boundaries.
 	Replans    bool
-	Tracks     bool
+	WarmStarts bool
 	Predictive bool
 
-	// Dispatch routes one layer-iteration; nil defaults to layout-based
-	// LiteRouting.
+	// Dispatch routes one layer-iteration. Every entry sets it: the
+	// engine calls it unconditionally.
 	Dispatch DispatchFunc
-
-	// Validate, when non-nil, vets the full config for policy-specific
-	// constraints beyond the engine's own checks.
-	Validate func(*OnlineConfig) error
 }
 
 // Workload names what an online session plans for.
@@ -75,7 +72,8 @@ const (
 	WorkloadInference Workload = "inference"
 )
 
-// liteDispatch is the default dispatch: layout-based Alg. 3 routing.
+// liteDispatch is layout-based Alg. 3 routing, the replanning policies'
+// dispatch.
 func liteDispatch(env *DispatchEnv) (*planner.Dispatch, error) {
 	return planner.LiteRouting(env.Routing, env.Layout, env.Topo), nil
 }
@@ -98,15 +96,15 @@ var policyRegistry = []PolicySpec{
 		Dispatch: liteDispatch,
 	},
 	{
-		Name:     ReplanWarm,
-		Replans:  true,
-		Tracks:   true,
-		Dispatch: liteDispatch,
+		Name:       ReplanWarm,
+		Replans:    true,
+		WarmStarts: true,
+		Dispatch:   liteDispatch,
 	},
 	{
 		Name:       ReplanPredictive,
 		Replans:    true,
-		Tracks:     true,
+		WarmStarts: true,
 		Predictive: true,
 		Dispatch:   liteDispatch,
 	},

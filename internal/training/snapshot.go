@@ -40,7 +40,7 @@ func (p *OnlinePlanner) StateDigest() uint64 {
 	}
 	for l := range p.state {
 		s := &p.state[l]
-		lay := p.layouts[l]
+		lay := s.plan.Layout()
 		i64(lay.E)
 		i64(lay.N)
 		for j := range lay.A {
@@ -48,8 +48,9 @@ func (p *OnlinePlanner) StateDigest() uint64 {
 				i64(v)
 			}
 		}
-		i64(len(s.plannedLoads))
-		for _, v := range s.plannedLoads {
+		planned := s.plan.PlannedLoads()
+		i64(len(planned))
+		for _, v := range planned {
 			f64(v)
 		}
 		i64(s.faultMoves)

@@ -78,13 +78,13 @@ func (p *OnlinePlanner) ExportState() (*PlannerState, error) {
 	}
 	for l := range p.state {
 		s := &p.state[l]
-		lay := p.layouts[l]
+		lay := s.plan.Layout()
 		cells := make([][]int, lay.E)
 		for j := range cells {
 			cells[j] = append([]int(nil), lay.A[j]...)
 		}
 		st.Layouts[l] = cells
-		st.PlannedLoads[l] = append([]float64(nil), s.plannedLoads...)
+		st.PlannedLoads[l] = append([]float64(nil), s.plan.PlannedLoads()...)
 		st.FaultTime[l], st.FaultMoves[l], st.FaultRestored[l] = s.faultTime, s.faultMoves, s.faultRestored
 		if p.pred {
 			st.LastErr[l], st.Streak[l] = s.lastErr, s.streak
@@ -100,9 +100,10 @@ func (p *OnlinePlanner) ExportState() (*PlannerState, error) {
 
 // RestoreState replaces the planner's decision state with an exported
 // snapshot. The planner must have been built from the same OnlineConfig
-// as the exporter; shape mismatches are rejected before anything mutates.
-// Drift trackers are invalidated, not restored — the next solve per layer
-// takes the full path and rebases them, which cannot move a decision.
+// as the exporter; shape mismatches (planned-load vectors included) are
+// rejected before anything mutates. Drift trackers are unbound, not
+// restored — the next solve per layer takes the full path and rebases
+// them, which cannot move a decision.
 func (p *OnlinePlanner) RestoreState(st *PlannerState) error {
 	if st == nil {
 		return fmt.Errorf("training: nil planner state")
@@ -132,6 +133,11 @@ func (p *OnlinePlanner) RestoreState(st *PlannerState) error {
 	for l, cells := range st.Layouts {
 		if len(cells) != p.arch.Experts {
 			return fmt.Errorf("training: layer %d layout has %d experts, want %d", l, len(cells), p.arch.Experts)
+		}
+		// A layer is planned for one load per expert, or none before its
+		// first re-layout; any other length fails the next solve.
+		if k := len(st.PlannedLoads[l]); k != 0 && k != p.arch.Experts {
+			return fmt.Errorf("training: layer %d has %d planned loads, want 0 or %d", l, k, p.arch.Experts)
 		}
 		lay := planner.NewLayout(p.arch.Experts, p.n)
 		for j, row := range cells {
@@ -173,12 +179,7 @@ func (p *OnlinePlanner) RestoreState(st *PlannerState) error {
 
 	for l := range p.state {
 		s := &p.state[l]
-		if s.owned {
-			s.solver.Recycle(p.layouts[l])
-		}
-		p.layouts[l] = layouts[l]
-		s.owned = true
-		s.plannedLoads = append(s.plannedLoads[:0], st.PlannedLoads[l]...)
+		s.plan.Restore(layouts[l], st.PlannedLoads[l])
 		s.faultTime, s.faultMoves, s.faultRestored = 0, 0, 0
 		if len(st.FaultTime) == p.layers {
 			s.faultTime = st.FaultTime[l]
@@ -195,7 +196,6 @@ func (p *OnlinePlanner) RestoreState(st *PlannerState) error {
 	}
 	p.faultEvents = st.FaultEvents
 	p.staticRestored = st.StaticRestored
-	p.invalidateTrackers()
 	p.resetEpoch()
 	return nil
 }

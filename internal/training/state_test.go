@@ -160,3 +160,42 @@ func TestPlannerStateRestoreRejectsMismatch(t *testing.T) {
 		t.Error("rejected restore mutated the planner")
 	}
 }
+
+// TestPlannerStateRestoreRejectsPlannedLoadLength: a planned-load vector
+// that is neither empty nor one load per expert is rejected before
+// anything mutates. Accepted, it restored cleanly and then failed the next
+// PlanEpoch ("2 previous loads for 8 experts"), poisoning a served session.
+func TestPlannerStateRestoreRejectsPlannedLoadLength(t *testing.T) {
+	p, err := NewOnlinePlanner(onlineCfg(ReplanWarm, trace.DriftMigration))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := ObservationGenerator(trace.GeneratorConfig{
+		Devices: p.Devices(), Experts: p.Experts(), Layers: p.Layers(),
+		TokensPerDevice: p.Setup().TokensPerDev, TopK: 2, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routing := gen.StepInto(nil)
+	if _, _, err := p.PlanEpoch(routing); err != nil {
+		t.Fatal(err)
+	}
+	st, err := p.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := p.StateDigest()
+	bad := *st
+	bad.PlannedLoads = append([][]float64(nil), st.PlannedLoads...)
+	bad.PlannedLoads[0] = []float64{1, 2}
+	if err := p.RestoreState(&bad); err == nil {
+		t.Fatal("a 2-entry planned-load vector for 8 experts was restored")
+	}
+	if p.StateDigest() != before {
+		t.Fatal("rejected restore mutated the planner")
+	}
+	if _, _, err := p.PlanEpoch(gen.StepInto(routing)); err != nil {
+		t.Fatalf("planning after the rejected restore: %v", err)
+	}
+}

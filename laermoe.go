@@ -48,10 +48,13 @@ const (
 )
 
 // Systems returns every simulatable system name.
-func Systems() []string {
-	out := make([]string, 0, len(training.Systems()))
-	for _, s := range training.Systems() {
-		out = append(out, string(s))
+func Systems() []string { return names(training.Systems()) }
+
+// names converts a registry's typed name list to plain strings.
+func names[T ~string](typed []T) []string {
+	out := make([]string, len(typed))
+	for i, t := range typed {
+		out[i] = string(t)
 	}
 	return out
 }
@@ -282,32 +285,13 @@ const (
 )
 
 // Policies returns every online replanning policy name.
-func Policies() []string {
-	out := make([]string, 0, len(training.ReplanPolicies()))
-	for _, p := range training.ReplanPolicies() {
-		out = append(out, string(p))
-	}
-	return out
-}
+func Policies() []string { return names(training.ReplanPolicies()) }
 
 // Workloads returns every online workload name.
-func Workloads() []string {
-	out := make([]string, 0, len(training.Workloads()))
-	for _, w := range training.Workloads() {
-		out = append(out, string(w))
-	}
-	return out
-}
+func Workloads() []string { return names(training.Workloads()) }
 
 // Arrivals returns every inference arrival-shape name.
-func Arrivals() []string {
-	shapes := trace.ArrivalShapes()
-	out := make([]string, len(shapes))
-	for i, s := range shapes {
-		out[i] = string(s)
-	}
-	return out
-}
+func Arrivals() []string { return names(trace.ArrivalShapes()) }
 
 // Predictor names accepted by OnlineOptions.Predictor.
 const (
@@ -324,13 +308,7 @@ const (
 )
 
 // Predictors returns every load-predictor name.
-func Predictors() []string {
-	out := make([]string, 0, len(forecast.Kinds()))
-	for _, k := range forecast.Kinds() {
-		out = append(out, string(k))
-	}
-	return out
-}
+func Predictors() []string { return names(forecast.Kinds()) }
 
 // Drift model names accepted by SimulateOnline.
 const (
@@ -341,13 +319,7 @@ const (
 )
 
 // DriftModels returns every drift model name.
-func DriftModels() []string {
-	out := make([]string, 0, len(trace.DriftModels()))
-	for _, m := range trace.DriftModels() {
-		out = append(out, string(m))
-	}
-	return out
-}
+func DriftModels() []string { return names(trace.DriftModels()) }
 
 // OnlineSessionSpec is the shared online-session specification — policy,
 // workload, predictor, thresholds, batch shape — embedded by
