@@ -41,9 +41,6 @@ func NewFasterMoE(topo *topology.Topology, arch *model.Config, hotThreshold floa
 	}, nil
 }
 
-// Name implements Scheduler.
-func (f *FasterMoE) Name() string { return "fastermoe" }
-
 // PlannerTime implements Scheduler.
 func (f *FasterMoE) PlannerTime() float64 { return f.plannerTime }
 

@@ -62,9 +62,6 @@ func NewFlexMoE(topo *topology.Topology, layers, e, c int, params planner.CostPa
 	return f, nil
 }
 
-// Name implements Scheduler.
-func (f *FlexMoE) Name() string { return "flexmoe" }
-
 // PlannerTime implements Scheduler.
 func (f *FlexMoE) PlannerTime() float64 { return f.plannerTime }
 

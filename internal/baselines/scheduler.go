@@ -29,7 +29,6 @@ import (
 // iteration's routing matrices. Implementations keep whatever history
 // their policy requires; Plan is called once per iteration in order.
 type Scheduler interface {
-	Name() string
 	Plan(routing []*trace.RoutingMatrix) ([]executor.LayerPlan, error)
 	// PlannerTime reports the CPU time spent making re-layout decisions
 	// during the last Plan call (informational; the paper's planner runs
@@ -52,9 +51,6 @@ func NewStaticEP(e, n, c int) (*StaticEP, error) {
 	}
 	return &StaticEP{C: c, layout: l}, nil
 }
-
-// Name implements Scheduler.
-func (s *StaticEP) Name() string { return "static-ep" }
 
 // PlannerTime implements Scheduler; static layouts need no planning.
 func (s *StaticEP) PlannerTime() float64 { return 0 }
@@ -79,9 +75,6 @@ type BalancedOracle struct {
 	Topo *topology.Topology
 	C    int
 }
-
-// Name implements Scheduler.
-func (s *BalancedOracle) Name() string { return "balanced-oracle" }
 
 // PlannerTime implements Scheduler.
 func (s *BalancedOracle) PlannerTime() float64 { return 0 }
@@ -116,9 +109,6 @@ type LAER struct {
 
 // NewLAER builds the scheduler.
 func NewLAER(p *planner.Planner) *LAER { return &LAER{P: p} }
-
-// Name implements Scheduler.
-func (s *LAER) Name() string { return "laer" }
 
 // PlannerTime implements Scheduler.
 func (s *LAER) PlannerTime() float64 { return s.plannerTime }

@@ -57,9 +57,6 @@ func NewSmartMoE(topo *topology.Topology, layers, e, c, interval int, migrationS
 	return s, nil
 }
 
-// Name implements Scheduler.
-func (s *SmartMoE) Name() string { return "smartmoe" }
-
 // PlannerTime implements Scheduler.
 func (s *SmartMoE) PlannerTime() float64 { return s.plannerTime }
 

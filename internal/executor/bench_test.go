@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"laermoe/internal/model"
@@ -9,11 +10,12 @@ import (
 	"laermoe/internal/trace"
 )
 
-// BenchmarkRunIteration re-simulates one training iteration at the shape
-// of the online benchmark's SimulateOnline call: synthetic-e512 on 16x8
-// devices (every expert holds exactly one of the N*C slots), 512 tokens
-// per device in one micro-batch, lite-routed over the static layout.
-func BenchmarkRunIteration(b *testing.B) {
+// iterationFixture is one training iteration at the shape of the online
+// benchmark's SimulateOnline call: synthetic-e512 on 16x8 devices (every
+// expert holds exactly one of the N*C slots), 512 tokens per device in one
+// micro-batch, lite-routed over the static layout.
+func iterationFixture(tb testing.TB) (Config, []LayerPlan) {
+	tb.Helper()
 	arch := model.SyntheticE512
 	topo := topology.New(16, 8)
 	gen, err := trace.NewGenerator(trace.GeneratorConfig{
@@ -21,11 +23,11 @@ func BenchmarkRunIteration(b *testing.B) {
 		TokensPerDevice: 512, TopK: arch.TopK, Seed: 1,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	layout, err := planner.StaticEP(arch.Experts, topo.N(), arch.ExpertCapacity)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	plans := make([]LayerPlan, arch.Layers)
 	for l, r := range gen.Step() {
@@ -35,11 +37,43 @@ func BenchmarkRunIteration(b *testing.B) {
 		Arch: arch, Topo: topo, Paradigm: ParadigmFSEP,
 		TokensPerDevice: 512, MicroBatches: 1, Comm: AllCommOpts(),
 	}
+	return cfg, plans
+}
+
+// BenchmarkRunIteration re-simulates the iterationFixture iteration.
+func BenchmarkRunIteration(b *testing.B) {
+	cfg, plans := iterationFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunIteration(cfg, plans); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRunIterationAllocs pins the objects one steady-state RunIteration
+// allocates at BenchmarkRunIteration's shape: the per-iteration builder
+// state, one member-id slice per collective and the metrics. Nothing on
+// the iteration path formats a string.
+func TestRunIterationAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
+	cfg, plans := iterationFixture(t)
+	// Warm the engine pool so the pin measures the steady state, and hold
+	// the collector off so no GC empties the pool mid-measurement.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if _, err := RunIteration(cfg, plans); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := RunIteration(cfg, plans); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per RunIteration", allocs)
+	if allocs > 120 {
+		t.Errorf("%.0f allocs per RunIteration, want at most 120", allocs)
 	}
 }

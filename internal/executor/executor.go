@@ -190,28 +190,16 @@ func RunIteration(cfg Config, layers []LayerPlan) (*metrics.Iteration, error) {
 	return it, nil
 }
 
-// perLayerImbalance computes the Fig. 10b series: per layer, the maximum
-// per-device received token count relative to the perfectly balanced
-// count. n is the number of live devices — under an elastic topology the
-// balanced reference spreads the tokens over the surviving cluster only.
+// perLayerImbalance computes the Fig. 10b series: per layer, the
+// planner.LoadImbalance of the per-device received token counts. n is the
+// number of live devices — under an elastic topology the balanced
+// reference spreads the tokens over the surviving cluster only.
 func perLayerImbalance(layers []LayerPlan, n int) []float64 {
 	out := make([]float64, len(layers))
 	var buf []int
 	for l, lp := range layers {
 		buf = lp.Dispatch.AppendReceivedLoads(buf[:0])
-		loads := buf
-		total, maxLoad := 0, 0
-		for _, v := range loads {
-			total += v
-			if v > maxLoad {
-				maxLoad = v
-			}
-		}
-		if total == 0 {
-			out[l] = 1
-			continue
-		}
-		out[l] = float64(maxLoad) / (float64(total) / float64(n))
+		out[l] = planner.LoadImbalance(buf, n)
 	}
 	return out
 }
@@ -229,32 +217,24 @@ type builder struct {
 	// as the data dependency for the next layer.
 	lastS1 []sim.TaskID
 
-	// tpGroups are the consecutive attention TP groups (nil without TP).
+	// tpGroups are the consecutive attention TP groups (nil without TP),
+	// so group g's members hold the ids ids[g[0]:g[0]+len(g)] of any
+	// per-device id slice.
 	tpGroups [][]int
 
 	// Per-layer ID scratch, reused across layers and micro-batches.
 	attn, td, experts []sim.TaskID
 	peReady, paReady  []sim.TaskID
 	nextPE            []sim.TaskID
-	groupDeps         [][]sim.TaskID
-	groupDepArena     []sim.TaskID
 	times             []float64
 	loads             []int
 
 	// Per-layer state no micro-batch changes, computed once per iteration
 	// by prepare: the base token All-to-All time (the four exchanges of a
 	// micro-batch differ only by a2aFactor), priced from one scan of the
-	// dispatch into the reused volume matrix vol, and the per-device task
-	// names.
-	vol   *comm.VolumeMatrix
-	a2a   []float64
-	names []layerNames
-}
-
-// layerNames are the names of one layer's per-device tasks.
-type layerNames struct {
-	fwdAttn, gate, mem, td, fwdExpert string
-	bwdExpert, bwdGate, bwdAttn       string
+	// dispatch into the reused volume matrix vol.
+	vol *comm.VolumeMatrix
+	a2a []float64
 }
 
 func newBuilder(cfg Config) *builder {
@@ -288,22 +268,6 @@ func newBuilder(cfg Config) *builder {
 		b.tpGroups = consecutiveGroups(n, cfg.TPDegree)
 	}
 	return b
-}
-
-// tpGroupDeps packs one dependency per group member into reusable
-// dependency lists for a TP collective.
-func (b *builder) tpGroupDeps(g []int, ids []sim.TaskID) [][]sim.TaskID {
-	if cap(b.groupDeps) < len(g) {
-		b.groupDeps = make([][]sim.TaskID, len(g))
-		b.groupDepArena = make([]sim.TaskID, len(g))
-	}
-	deps := b.groupDeps[:len(g)]
-	arena := b.groupDepArena[:len(g)]
-	for i, dev := range g {
-		arena[i] = ids[dev]
-		deps[i] = arena[i : i+1]
-	}
-	return deps
 }
 
 // contended reports whether prefetch traffic shares the wire with token
@@ -466,20 +430,13 @@ func (b *builder) nonExpertGradSyncTime() float64 {
 
 // prepare computes the per-layer state of the iteration: each layer's
 // base token All-to-All time, from one scan of its dispatch into the
-// builder's volume matrix, and its task names.
+// builder's volume matrix.
 func (b *builder) prepare(layers []LayerPlan) {
 	b.a2a = make([]float64, len(layers))
-	b.names = make([]layerNames, len(layers))
 	tokenBytes := b.cm.TokenCommBytes()
 	for l, lp := range layers {
 		lp.Dispatch.FillVolumeMatrix(b.vol, tokenBytes)
 		b.a2a[l] = b.comm.AllToAll(b.vol)
-		b.names[l] = layerNames{
-			fwdAttn: fmt.Sprintf("F_A%d", l), gate: fmt.Sprintf("G%d", l),
-			mem: fmt.Sprintf("mem%d", l), td: fmt.Sprintf("TD%d", l),
-			fwdExpert: fmt.Sprintf("F_M%d", l), bwdExpert: fmt.Sprintf("B_M%d", l),
-			bwdGate: fmt.Sprintf("B_G%d", l), bwdAttn: fmt.Sprintf("B_A%d", l),
-		}
 	}
 }
 
@@ -512,8 +469,8 @@ func (b *builder) expertTimes(lp LayerPlan, backward bool) []float64 {
 }
 
 // collectiveAll adds an all-device collective with per-device deps.
-func (b *builder) collectiveAll(name string, stream sim.Stream, cat sim.Category, dur float64, deps []sim.TaskID) []sim.TaskID {
-	return b.eng.Collective1(name, b.all, stream, cat, dur, deps)
+func (b *builder) collectiveAll(stream sim.Stream, cat sim.Category, dur float64, deps []sim.TaskID) []sim.TaskID {
+	return b.eng.Collective(b.all, stream, cat, dur, deps)
 }
 
 // forward appends one micro-batch's forward pass.
@@ -535,26 +492,25 @@ func (b *builder) forward(layers []LayerPlan) {
 	// Initial prefetch of layer 0 (enqueued first on S2; depends only on
 	// previous stream work).
 	if cfg.Paradigm != ParadigmResident {
-		pa := b.collectiveAll("PA0", sim.StreamPrefetch, sim.CatPrefetch, prefetchTimeA, nil)
-		pe := b.collectiveAll("PE0", sim.StreamPrefetch, sim.CatPrefetch, prefetchTimeE, nil)
+		pa := b.collectiveAll(sim.StreamPrefetch, sim.CatPrefetch, prefetchTimeA, nil)
+		pe := b.collectiveAll(sim.StreamPrefetch, sim.CatPrefetch, prefetchTimeE, nil)
 		copy(paReady, pa)
 		copy(peReady, pe)
 	}
 
 	for l, lp := range layers {
-		names := &b.names[l]
 		// Attention (S1) after previous layer's output and PA_l.
 		attn := b.attn
 		for dev := 0; dev < b.n; dev++ {
-			attn[dev] = b.eng.Compute(names.fwdAttn, dev, sim.StreamCompute, sim.CatAttention,
+			attn[dev] = b.eng.Compute(dev, sim.StreamCompute, sim.CatAttention,
 				b.attnTime(dev, false), b.lastS1[dev], paReady[dev])
 		}
 		if cfg.TPDegree > 1 {
 			for _, g := range b.tpGroups {
 				// One all-reduce after attention plus the TP->EP activation
 				// re-sharding of heterogeneous parallel folding.
-				ids := b.eng.Collective(fmt.Sprintf("AR_A%d", l), g, sim.StreamCompute, sim.CatTPComm,
-					2*b.tpAllReduceTime(g), b.tpGroupDeps(g, attn))
+				ids := b.eng.Collective(g, sim.StreamCompute, sim.CatTPComm,
+					2*b.tpAllReduceTime(g), attn[g[0]:g[0]+len(g)])
 				for i, dev := range g {
 					attn[dev] = ids[i]
 				}
@@ -564,17 +520,14 @@ func (b *builder) forward(layers []LayerPlan) {
 		// Gate, dispatcher decision, and fixed memory ops (S1).
 		td := b.td
 		for dev := 0; dev < b.n; dev++ {
-			gate := b.eng.Compute(names.gate, dev, sim.StreamCompute, sim.CatGate,
+			gate := b.eng.Compute(dev, sim.StreamCompute, sim.CatGate,
 				b.cm.GateComputeTime(dev, cfg.TokensPerDevice), attn[dev])
-			fixed := b.eng.Compute(names.mem, dev, sim.StreamCompute, sim.CatOther,
-				layerFixedOverhead, gate)
-			td[dev] = b.eng.Compute(names.td, dev, sim.StreamCompute, sim.CatDispatcher,
-				dispatcherOverhead, fixed)
+			fixed := b.eng.Compute(dev, sim.StreamCompute, sim.CatOther, layerFixedOverhead, gate)
+			td[dev] = b.eng.Compute(dev, sim.StreamCompute, sim.CatDispatcher, dispatcherOverhead, fixed)
 		}
 
 		// Token dispatch All-to-All (S3).
-		dispatch := b.collectiveAll(fmt.Sprintf("A2Ad%d", l), sim.StreamA2A, sim.CatA2A,
-			b.dispatchDuration(l, false), td)
+		dispatch := b.collectiveAll(sim.StreamA2A, sim.CatA2A, b.dispatchDuration(l, false), td)
 
 		// Prefetch of the next layer (S2) per the scheduling mode.
 		if cfg.Paradigm != ParadigmResident && l+1 < len(layers) {
@@ -593,8 +546,8 @@ func (b *builder) forward(layers []LayerPlan) {
 				peDeps, paDeps = td, td
 			}
 			if cfg.Comm.RelaxedPrefetch {
-				pe := b.collectiveAll(fmt.Sprintf("PE%d", l+1), sim.StreamPrefetch, sim.CatPrefetch, prefetchTimeE, peDeps)
-				pa := b.collectiveAll(fmt.Sprintf("PA%d", l+1), sim.StreamPrefetch, sim.CatPrefetch, prefetchTimeA, paDeps)
+				pe := b.collectiveAll(sim.StreamPrefetch, sim.CatPrefetch, prefetchTimeE, peDeps)
+				pa := b.collectiveAll(sim.StreamPrefetch, sim.CatPrefetch, prefetchTimeA, paDeps)
 				copy(peReady, pe)
 				copy(paReady, pa)
 			}
@@ -605,20 +558,19 @@ func (b *builder) forward(layers []LayerPlan) {
 		times := b.expertTimes(lp, false)
 		experts := b.experts
 		for dev := 0; dev < b.n; dev++ {
-			experts[dev] = b.eng.Compute(names.fwdExpert, dev, sim.StreamCompute, sim.CatExpert,
+			experts[dev] = b.eng.Compute(dev, sim.StreamCompute, sim.CatExpert,
 				times[dev], dispatch[dev], peReady[dev])
 		}
 
 		// Combine All-to-All (S3).
-		combine := b.collectiveAll(fmt.Sprintf("A2Ac%d", l), sim.StreamA2A, sim.CatA2A,
-			b.dispatchDuration(l, false), experts)
+		combine := b.collectiveAll(sim.StreamA2A, sim.CatA2A, b.dispatchDuration(l, false), experts)
 		copy(b.lastS1, combine)
 
 		// Default (non-relaxed) prefetch: issue now, to be consumed by
 		// layer l+1 — it overlaps only layer l+1's attention (Fig. 5a).
 		if cfg.Paradigm != ParadigmResident && !cfg.Comm.RelaxedPrefetch && l+1 < len(layers) {
-			pe := b.collectiveAll(fmt.Sprintf("PE%d", l+1), sim.StreamPrefetch, sim.CatPrefetch, prefetchTimeE, combine)
-			pa := b.collectiveAll(fmt.Sprintf("PA%d", l+1), sim.StreamPrefetch, sim.CatPrefetch, prefetchTimeA, combine)
+			pe := b.collectiveAll(sim.StreamPrefetch, sim.CatPrefetch, prefetchTimeE, combine)
+			pa := b.collectiveAll(sim.StreamPrefetch, sim.CatPrefetch, prefetchTimeA, combine)
 			copy(peReady, pe)
 			copy(paReady, pa)
 		}
@@ -649,14 +601,9 @@ func (b *builder) backward(layers []LayerPlan, lastMicroBatch bool) {
 	syncEveryMB := cfg.Paradigm != ParadigmResident
 	doSync := syncEveryMB || lastMicroBatch
 
-	// Pending gradient syncs deferred to the next layer's backward
-	// (Fig. 5e): pendingSync[dev] holds the dependency gate.
-	type pending struct {
-		name string
-		time float64
-		cat  sim.Category
-	}
-	var pendingSyncs []pending
+	// Durations of the gradient syncs deferred to the next layer's
+	// backward (Fig. 5e).
+	var pendingSyncs []float64
 
 	peReady := b.peReady
 	for i := range peReady {
@@ -664,24 +611,22 @@ func (b *builder) backward(layers []LayerPlan, lastMicroBatch bool) {
 	}
 	if cfg.Paradigm != ParadigmResident {
 		// Re-unshard the last layer's experts for backward.
-		pe := b.collectiveAll(fmt.Sprintf("PEb%d", len(layers)-1), sim.StreamPrefetch, sim.CatPrefetch,
-			prefetchTimeE, b.lastS1)
+		pe := b.collectiveAll(sim.StreamPrefetch, sim.CatPrefetch, prefetchTimeE, b.lastS1)
 		copy(peReady, pe)
 	}
 
 	flushPending := func(deps []sim.TaskID) {
-		for _, p := range pendingSyncs {
-			b.collectiveAll(p.name, sim.StreamGrad, p.cat, p.time, deps)
+		for _, dur := range pendingSyncs {
+			b.collectiveAll(sim.StreamGrad, sim.CatGradSync, dur, deps)
 		}
 		pendingSyncs = nil
 	}
 
 	for l := len(layers) - 1; l >= 0; l-- {
-		lp, names := layers[l], &b.names[l]
+		lp := layers[l]
 
 		// Gradient All-to-All reversing the combine (S3).
-		gradIn := b.collectiveAll(fmt.Sprintf("B_A2Ac%d", l), sim.StreamA2A, sim.CatA2A,
-			b.dispatchDuration(l, true), b.lastS1)
+		gradIn := b.collectiveAll(sim.StreamA2A, sim.CatA2A, b.dispatchDuration(l, true), b.lastS1)
 
 		// Deferred gradient syncs from layer l+1 launch alongside this
 		// layer's expert backward (Fig. 5e).
@@ -701,7 +646,7 @@ func (b *builder) backward(layers []LayerPlan, lastMicroBatch bool) {
 			} else {
 				deps = b.lastS1
 			}
-			pe := b.collectiveAll(fmt.Sprintf("PEb%d", l-1), sim.StreamPrefetch, sim.CatPrefetch, prefetchTimeE, deps)
+			pe := b.collectiveAll(sim.StreamPrefetch, sim.CatPrefetch, prefetchTimeE, deps)
 			copy(nextPE, pe)
 		}
 
@@ -709,37 +654,36 @@ func (b *builder) backward(layers []LayerPlan, lastMicroBatch bool) {
 		times := b.expertTimes(lp, true)
 		experts := b.experts
 		for dev := 0; dev < b.n; dev++ {
-			experts[dev] = b.eng.Compute(names.bwdExpert, dev, sim.StreamCompute, sim.CatExpert,
+			experts[dev] = b.eng.Compute(dev, sim.StreamCompute, sim.CatExpert,
 				times[dev], gradIn[dev], peReady[dev])
 		}
 
 		// Expert gradient reshard/synchronization (S4).
 		if doSync {
 			if cfg.Comm.DelayedGradSync {
-				pendingSyncs = append(pendingSyncs, pending{fmt.Sprintf("Sy_M%d", l), syncTime, sim.CatGradSync})
+				pendingSyncs = append(pendingSyncs, syncTime)
 			} else {
-				b.collectiveAll(fmt.Sprintf("Sy_M%d", l), sim.StreamGrad, sim.CatGradSync, syncTime, experts)
+				b.collectiveAll(sim.StreamGrad, sim.CatGradSync, syncTime, experts)
 			}
 		}
 
 		// Gradient All-to-All reversing the dispatch (S3).
-		gradOut := b.collectiveAll(fmt.Sprintf("B_A2Ad%d", l), sim.StreamA2A, sim.CatA2A,
-			b.dispatchDuration(l, true), experts)
+		gradOut := b.collectiveAll(sim.StreamA2A, sim.CatA2A, b.dispatchDuration(l, true), experts)
 
 		// Gate and attention backward (S1).
 		attn := b.attn
 		for dev := 0; dev < b.n; dev++ {
-			gate := b.eng.Compute(names.bwdGate, dev, sim.StreamCompute, sim.CatGate,
+			gate := b.eng.Compute(dev, sim.StreamCompute, sim.CatGate,
 				b.cm.GateComputeTime(dev, cfg.TokensPerDevice), gradOut[dev])
-			attn[dev] = b.eng.Compute(names.bwdAttn, dev, sim.StreamCompute, sim.CatAttention,
+			attn[dev] = b.eng.Compute(dev, sim.StreamCompute, sim.CatAttention,
 				b.attnTime(dev, true), gate)
 		}
 		if cfg.TPDegree > 1 {
 			for _, g := range b.tpGroups {
 				// Two all-reduces in backward (input and weight grads) plus
 				// the EP->TP activation-gradient re-sharding.
-				ids := b.eng.Collective(fmt.Sprintf("B_AR_A%d", l), g, sim.StreamCompute, sim.CatTPComm,
-					3*b.tpAllReduceTime(g), b.tpGroupDeps(g, attn))
+				ids := b.eng.Collective(g, sim.StreamCompute, sim.CatTPComm,
+					3*b.tpAllReduceTime(g), attn[g[0]:g[0]+len(g)])
 				for i, dev := range g {
 					attn[dev] = ids[i]
 				}
@@ -750,9 +694,9 @@ func (b *builder) backward(layers []LayerPlan, lastMicroBatch bool) {
 		// Non-expert gradient sync for this layer (S4, small).
 		if doSync {
 			if cfg.Comm.DelayedGradSync {
-				pendingSyncs = append(pendingSyncs, pending{fmt.Sprintf("Sy_A%d", l), nonExpertSync, sim.CatGradSync})
+				pendingSyncs = append(pendingSyncs, nonExpertSync)
 			} else {
-				b.collectiveAll(fmt.Sprintf("Sy_A%d", l), sim.StreamGrad, sim.CatGradSync, nonExpertSync, attn)
+				b.collectiveAll(sim.StreamGrad, sim.CatGradSync, nonExpertSync, attn)
 			}
 		}
 
@@ -769,7 +713,7 @@ func (b *builder) finish(layers []LayerPlan) {
 		extra += lp.ExtraRelayoutTime
 	}
 	for dev := 0; dev < b.n; dev++ {
-		id := b.eng.Compute("optimizer", dev, sim.StreamCompute, sim.CatOther,
+		id := b.eng.Compute(dev, sim.StreamCompute, sim.CatOther,
 			optimizerStepTime+extra, b.lastS1[dev])
 		b.lastS1[dev] = id
 	}

@@ -10,10 +10,10 @@ import (
 func TestBreakdownFromResult(t *testing.T) {
 	e := sim.NewEngine(2)
 	for d := 0; d < 2; d++ {
-		e.Compute("attn", d, sim.StreamCompute, sim.CatAttention, 1)
-		e.Compute("expert", d, sim.StreamCompute, sim.CatExpert, 2)
+		e.Compute(d, sim.StreamCompute, sim.CatAttention, 1)
+		e.Compute(d, sim.StreamCompute, sim.CatExpert, 2)
 	}
-	e.Collective("a2a", []int{0, 1}, sim.StreamA2A, sim.CatA2A, 0.5, nil)
+	e.Collective([]int{0, 1}, sim.StreamA2A, sim.CatA2A, 0.5, nil)
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)

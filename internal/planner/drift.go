@@ -226,20 +226,8 @@ func (t *DriftTracker) CanKeep() bool {
 }
 
 // Imbalance returns LiteImbalance(r, layout, topo) for the tracked state,
-// from the incrementally maintained integer device loads: same
-// accumulation order, same live-device mean, bit-identical result.
+// from the incrementally maintained integer device loads: the same loads
+// through the same LoadImbalance, so a bit-identical result.
 func (t *DriftTracker) Imbalance() float64 {
-	sum := 0.0
-	maxLoad := t.devLoads[0]
-	for _, v := range t.devLoads {
-		sum += float64(v)
-		if v > maxLoad {
-			maxLoad = v
-		}
-	}
-	mean := sum / float64(t.topo.NumAvailable())
-	if mean == 0 {
-		return 1
-	}
-	return float64(maxLoad) / mean
+	return LoadImbalance(t.devLoads, t.topo.NumAvailable())
 }

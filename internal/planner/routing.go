@@ -332,23 +332,28 @@ func LiteImbalance(r *trace.RoutingMatrix, l *Layout, topo *topology.Topology) f
 	forEachAssignment(r, l, topo, sc, func(_, _, dst, tokens int, _ bool) {
 		loads[dst] += tokens
 	})
-	sum := 0.0
-	maxLoad := loads[0]
-	for _, v := range loads {
-		sum += float64(v)
-		if v > maxLoad {
-			maxLoad = v
-		}
-	}
+	imb := LoadImbalance(loads, topo.NumAvailable())
 	routePool.Put(sc)
-	// The balanced reference load spreads over live devices only: masked
-	// devices host no replicas and receive no tokens, so counting them in
-	// the mean would report a degraded cluster as spuriously imbalanced.
-	mean := sum / float64(topo.NumAvailable())
-	if mean == 0 {
+	return imb
+}
+
+// LoadImbalance is the balance metric of Fig. 10b: the maximum of the
+// per-device received token loads over their mean across the live
+// devices (1.0 = perfect; 1 when no tokens flow). The balanced reference
+// spreads over live devices only: masked devices host no replicas and
+// receive no tokens, so counting them in the mean would report a degraded
+// cluster as spuriously imbalanced. The integer total is exact in
+// float64, so every caller computes the same bits from the same loads.
+func LoadImbalance(loads []int, live int) float64 {
+	total, maxLoad := 0, 0
+	for _, v := range loads {
+		total += v
+		maxLoad = max(maxLoad, v)
+	}
+	if total == 0 {
 		return 1
 	}
-	return float64(maxLoad) / mean
+	return float64(maxLoad) / (float64(total) / float64(live))
 }
 
 // EPRouting is the routing of traditional expert parallelism under the

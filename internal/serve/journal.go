@@ -5,8 +5,9 @@
 // pair, each topology event/decision pair, and periodic planner-state
 // checkpoints. On boot the daemon replays every journal it finds:
 // it rebuilds the session from the journaled spec and re-feeds the
-// observations and topology events through the planning core. Because the
-// core is deterministic, the recomputed decisions must be byte-identical
+// observations and topology events through the session methods the
+// handlers call (observe, applyTopology). Because the core is
+// deterministic, the recomputed decisions must be byte-identical
 // to the journaled ones — replay verifies that record by record, and
 // verifies the state digest at each checkpoint, so a corrupted journal or a
 // decision-moving code change fails loudly at boot instead of silently
@@ -71,6 +72,17 @@ type decisionRecord struct {
 	Summary     training.EpochSummary    `json:"summary"`
 }
 
+// decisionRecordOf is the journaled, replay-compared part of an observe
+// response.
+func decisionRecordOf(resp *ObserveResponse) decisionRecord {
+	return decisionRecord{
+		Epoch:       resp.Epoch,
+		Boundary:    resp.Boundary,
+		Observation: resp.Observation,
+		Summary:     journalSummary(resp.Summary),
+	}
+}
+
 // journalSummary strips the solve-path counters from a summary before it
 // is journaled or replay-compared. Like SolveSeconds, they are telemetry
 // about how a decision was reached, not part of the decision: a session
@@ -93,6 +105,16 @@ type topologyDecisionRecord struct {
 	Decisions             []training.LayerDecision `json:"decisions"`
 	AvailableDevices      int                      `json:"available_devices"`
 	RecoveryChargeSeconds float64                  `json:"recovery_charge_seconds"`
+}
+
+// topologyDecisionRecordOf is the journaled, replay-compared part of a
+// topology update response.
+func topologyDecisionRecordOf(resp *TopologyUpdateResponse) topologyDecisionRecord {
+	return topologyDecisionRecord{
+		Decisions:             resp.Decisions,
+		AvailableDevices:      resp.AvailableDevices,
+		RecoveryChargeSeconds: resp.RecoveryChargeSeconds,
+	}
 }
 
 // stateRecord is a KindState payload: a full planner-state checkpoint
@@ -200,31 +222,35 @@ func (s *Server) replaySession(id string) (*session, error) {
 	}
 	sess.attach(s)
 
-	// Re-feed the event stream. An observe/topology record is acted on
-	// when its decision record arrives: the writer appends both after a
-	// successful solve, so an input record without a decision can only be
-	// the torn trace of an append the client never saw acknowledged —
-	// skipping it recovers the last acknowledged state. That matters twice
-	// for deltas: a torn delta must not mutate the retained matrices
-	// (applyDeltaLocked runs only on the decision), or every later epoch
-	// would diverge from the state the client last had acknowledged.
+	// Re-feed the event stream through the handlers' own session methods.
+	// An observe/topology record is turned back into the request it
+	// recorded and acted on when its decision record arrives: the writer
+	// appends both after a successful solve, so an input record without a
+	// decision can only be the torn trace of an append the client never
+	// saw acknowledged — skipping it recovers the last acknowledged state.
+	// That matters twice for deltas: a torn delta must not mutate the
+	// retained matrices, or every later epoch would diverge from the state
+	// the client last had acknowledged. No writer is attached yet, so
+	// observe and applyTopology journal nothing here.
 	var (
-		pendingObs   *observeRecord
-		pendingDelta *deltaObserveRecord
-		pendingTopo  *topologyRecord
+		pendingObs  *ObserveRequest
+		pendingTopo *TopologyUpdateRequest
 	)
 	for _, rec := range recs[1:] {
+		var got any
 		switch rec.Kind {
 		case journal.KindObserve:
-			pendingObs, pendingDelta = &observeRecord{}, nil
-			if err := rec.Decode(pendingObs); err != nil {
+			var obs observeRecord
+			if err := rec.Decode(&obs); err != nil {
 				return nil, err
 			}
+			pendingObs = &ObserveRequest{Routing: obs.Routing}
 		case journal.KindObserveDelta:
-			pendingDelta, pendingObs = &deltaObserveRecord{}, nil
-			if err := rec.Decode(pendingDelta); err != nil {
+			var obs deltaObserveRecord
+			if err := rec.Decode(&obs); err != nil {
 				return nil, err
 			}
+			pendingObs = &ObserveRequest{Epoch: obs.Epoch, RoutingDelta: obs.Deltas}
 		case journal.KindBaseline:
 			var base baselineRecord
 			if err := rec.Decode(&base); err != nil {
@@ -236,67 +262,32 @@ func (s *Server) replaySession(id string) (*session, error) {
 			sess.applyDenseLocked(base.Routing)
 			sess.haveBase = true
 		case journal.KindDecision:
-			switch {
-			case pendingObs != nil:
-				req := ObserveRequest{Routing: pendingObs.Routing}
-				if err := sess.validateObserve(req); err != nil {
-					return nil, fmt.Errorf("record %d: %w", rec.Seq, err)
-				}
-				sess.applyDenseLocked(pendingObs.Routing)
-			case pendingDelta != nil:
-				req := ObserveRequest{Epoch: pendingDelta.Epoch, RoutingDelta: pendingDelta.Deltas}
-				if err := sess.validateObserve(req); err != nil {
-					return nil, fmt.Errorf("record %d: %w", rec.Seq, err)
-				}
-				if err := sess.applyDeltaLocked(pendingDelta.Epoch, pendingDelta.Deltas); err != nil {
-					return nil, fmt.Errorf("record %d: %w", rec.Seq, err)
-				}
-			default:
+			if pendingObs == nil {
 				return nil, fmt.Errorf("record %d: decision without a preceding observation", rec.Seq)
 			}
-			resp, err := sess.planLocked(sess.routing)
+			if err := sess.validateObserve(*pendingObs); err != nil {
+				return nil, fmt.Errorf("record %d: %w", rec.Seq, err)
+			}
+			resp, err := sess.observe(*pendingObs)
 			if err != nil {
 				return nil, fmt.Errorf("record %d: replaying epoch: %w", rec.Seq, err)
 			}
-			sess.haveBase = true
-			got, err := json.Marshal(decisionRecord{
-				Epoch:       resp.Epoch,
-				Boundary:    resp.Boundary,
-				Observation: resp.Observation,
-				Summary:     journalSummary(resp.Summary),
-			})
-			if err != nil {
-				return nil, err
-			}
-			if !bytes.Equal(got, rec.Payload) {
-				return nil, fmt.Errorf("record %d: replayed decision diverges from journal (epoch %d)", rec.Seq, resp.Epoch)
-			}
-			pendingObs, pendingDelta = nil, nil
+			got, pendingObs = decisionRecordOf(resp), nil
 		case journal.KindTopology:
-			pendingTopo = &topologyRecord{}
-			if err := rec.Decode(pendingTopo); err != nil {
+			var topo topologyRecord
+			if err := rec.Decode(&topo); err != nil {
 				return nil, err
 			}
+			pendingTopo = &TopologyUpdateRequest{Events: topo.Events}
 		case journal.KindTopologyDecision:
 			if pendingTopo == nil {
 				return nil, fmt.Errorf("record %d: topology decision without preceding events", rec.Seq)
 			}
-			resp, err := sess.applyTopologyLocked(pendingTopo.Events)
+			resp, err := sess.applyTopology(*pendingTopo)
 			if err != nil {
 				return nil, fmt.Errorf("record %d: replaying topology update: %w", rec.Seq, err)
 			}
-			got, err := json.Marshal(topologyDecisionRecord{
-				Decisions:             resp.Decisions,
-				AvailableDevices:      resp.AvailableDevices,
-				RecoveryChargeSeconds: resp.RecoveryChargeSeconds,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if !bytes.Equal(got, rec.Payload) {
-				return nil, fmt.Errorf("record %d: replayed recovery decision diverges from journal", rec.Seq)
-			}
-			pendingTopo = nil
+			got, pendingTopo = topologyDecisionRecordOf(resp), nil
 		case journal.KindState:
 			var st stateRecord
 			if err := rec.Decode(&st); err != nil {
@@ -316,6 +307,16 @@ func (s *Server) replaySession(id string) (*session, error) {
 			sess.haveBase = false
 		default:
 			return nil, fmt.Errorf("record %d: unknown kind %q", rec.Seq, rec.Kind)
+		}
+		if got == nil {
+			continue
+		}
+		b, err := json.Marshal(got)
+		if err != nil {
+			return nil, err
+		}
+		if !bytes.Equal(b, rec.Payload) {
+			return nil, fmt.Errorf("record %d: replayed %s diverges from journal", rec.Seq, rec.Kind)
 		}
 	}
 	// Journaling resumes only now: the replay loop above must never

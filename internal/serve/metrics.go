@@ -205,16 +205,12 @@ func (m *recorder) observeServed(resp *ObserveResponse, payloadBytes int64, delt
 	} else {
 		m.observesDense.Add(1)
 	}
-	for _, d := range resp.Boundary {
-		m.layerDecisions.Add(1)
-		if d.Action != training.ActionKeep {
-			m.replans.Add(1)
-		}
-	}
-	for _, d := range resp.Observation {
-		m.layerDecisions.Add(1)
-		if d.Action != training.ActionKeep {
-			m.replans.Add(1)
+	for _, decs := range [...][]training.LayerDecision{resp.Boundary, resp.Observation} {
+		for _, d := range decs {
+			m.layerDecisions.Add(1)
+			if d.Action != training.ActionKeep {
+				m.replans.Add(1)
+			}
 		}
 	}
 	m.migrations.Add(uint64(resp.Summary.Migrations))
@@ -227,100 +223,82 @@ func (m *recorder) observeServed(resp *ObserveResponse, payloadBytes int64, delt
 	}
 }
 
-// gauge/counter/quantile emit one Prometheus text-format family each.
-func promHeader(w io.Writer, name, help, typ string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+// family is one Prometheus metric family of the exposition: its name,
+// help text and type, and its current value — an integer or float sample,
+// or the *summaryWindow behind a summary.
+type family struct {
+	name, help, typ string
+	value           any
+}
+
+// families reads every family's current value, in exposition order.
+func (m *recorder) families() []family {
+	rate := 0.0
+	if decs := m.layerDecisions.Load(); decs > 0 {
+		rate = float64(m.replans.Load()) / float64(decs)
+	}
+	const windowed = " (quantiles over a sliding window; sum/count lifetime-cumulative)."
+	return []family{
+		{"laer_serve_sessions_active", "Open planning sessions.", "gauge", m.sessionsActive.Load()},
+		{"laer_serve_sessions_opened_total", "Sessions opened since start.", "counter", m.sessionsOpened.Load()},
+		{"laer_serve_sessions_closed_total", "Sessions closed since start.", "counter", m.sessionsClosed.Load()},
+		{"laer_serve_sessions_evicted_total", "Sessions evicted after idling past the TTL.", "counter", m.sessionsEvicted.Load()},
+
+		{"laer_serve_epochs_observed_total", "Epoch observations planned.", "counter", m.epochs.Load()},
+		{"laer_serve_layer_decisions_total", "Per-layer re-layout decisions issued.", "counter", m.layerDecisions.Load()},
+		{"laer_serve_replans_total", "Decisions that installed a new layout.", "counter", m.replans.Load()},
+		{"laer_serve_replan_rate", "Fraction of decisions that replanned.", "gauge", rate},
+		{"laer_serve_migrations_total", "Expert replicas relocated.", "counter", m.migrations.Load()},
+		{"laer_serve_incremental_solves_total", "Planning-step solves served through a synchronized drift tracker (amortized O(drifted experts)).", "counter", m.incrementalSolves.Load()},
+		{"laer_serve_full_solves_total", "Planning-step solves that re-scanned the whole layer.", "counter", m.fullSolves.Load()},
+
+		{"laer_serve_observe_payload_bytes_total", "Observation request payload bytes decoded (dense and delta).", "counter", m.observePayloadBytes.Load()},
+		{"laer_serve_observes_dense_total", "Epoch observations posted as dense routing matrices.", "counter", m.observesDense.Load()},
+		{"laer_serve_observes_delta_total", "Epoch observations posted as sparse routing_delta records.", "counter", m.observesDelta.Load()},
+		{"laer_serve_observe_delta_resyncs_total", "Delta observes refused with 409 (epoch gap, missing base, or topology change); clients fall back to dense.", "counter", m.deltaResyncs.Load()},
+
+		{"laer_serve_topology_updates_total", "Topology updates applied.", "counter", m.topologyUpdates.Load()},
+		{"laer_serve_fault_events_total", "Membership/degradation fault events absorbed.", "counter", m.faultEvents.Load()},
+		{"laer_serve_replicas_restored_total", "Expert replicas re-read from checkpoint during recovery.", "counter", m.replicasRestored.Load()},
+
+		{"laer_serve_streams_active", "Open SSE decision streams.", "gauge", m.streamsActive.Load()},
+		{"laer_serve_streams_opened_total", "SSE decision streams opened since start.", "counter", m.streamsOpened.Load()},
+		{"laer_serve_stream_events_total", "Decision/topology events delivered to SSE subscribers.", "counter", m.streamEvents.Load()},
+		{"laer_serve_streams_dropped_total", "SSE subscribers disconnected for falling behind the event buffer.", "counter", m.streamsDropped.Load()},
+
+		{"laer_serve_sessions_replayed_total", "Sessions restored from the decision journal at boot.", "counter", m.sessionsReplayed.Load()},
+		{"laer_serve_journal_replay_failures_total", "Journaled sessions dropped at boot because replay failed or diverged.", "counter", m.replayFailures.Load()},
+		{"laer_serve_journal_errors_total", "Journal append failures (the session keeps serving; its journal is abandoned).", "counter", m.journalErrors.Load()},
+		{"laer_serve_journal_compactions_total", "Journal compactions: replayed history truncated to a planner-state checkpoint.", "counter", m.journalCompactions.Load()},
+		{"laer_serve_journal_replay_seconds", "Wall time of the last boot's journal replay.", "gauge", m.replaySeconds.load()},
+
+		{"laer_serve_recovery_latency_seconds", "Topology-update recovery planning latency" + windowed, "summary", m.recoveryLat},
+		{"laer_serve_solve_latency_seconds", "Per-epoch planning solve latency" + windowed, "summary", m.solveLat},
+		{"laer_serve_predicted_imbalance", "Planner-predicted relative max device load of the latest epoch (1.0 = perfect).", "gauge", m.lastImbalance.load()},
+		{"laer_serve_predicted_imbalance_window", "Predicted-imbalance trajectory" + windowed, "summary", m.imbalance},
+	}
 }
 
 // write renders the Prometheus text exposition. Quantiles come from the
 // sliding windows via stats.Percentile; families with no samples yet are
 // emitted with zero values so scrapers always see a stable schema.
 func (m *recorder) write(w io.Writer) {
-	promHeader(w, "laer_serve_sessions_active", "Open planning sessions.", "gauge")
-	fmt.Fprintf(w, "laer_serve_sessions_active %d\n", m.sessionsActive.Load())
-	promHeader(w, "laer_serve_sessions_opened_total", "Sessions opened since start.", "counter")
-	fmt.Fprintf(w, "laer_serve_sessions_opened_total %d\n", m.sessionsOpened.Load())
-	promHeader(w, "laer_serve_sessions_closed_total", "Sessions closed since start.", "counter")
-	fmt.Fprintf(w, "laer_serve_sessions_closed_total %d\n", m.sessionsClosed.Load())
-	promHeader(w, "laer_serve_sessions_evicted_total", "Sessions evicted after idling past the TTL.", "counter")
-	fmt.Fprintf(w, "laer_serve_sessions_evicted_total %d\n", m.sessionsEvicted.Load())
-
-	promHeader(w, "laer_serve_epochs_observed_total", "Epoch observations planned.", "counter")
-	fmt.Fprintf(w, "laer_serve_epochs_observed_total %d\n", m.epochs.Load())
-	promHeader(w, "laer_serve_layer_decisions_total", "Per-layer re-layout decisions issued.", "counter")
-	fmt.Fprintf(w, "laer_serve_layer_decisions_total %d\n", m.layerDecisions.Load())
-	promHeader(w, "laer_serve_replans_total", "Decisions that installed a new layout.", "counter")
-	fmt.Fprintf(w, "laer_serve_replans_total %d\n", m.replans.Load())
-	promHeader(w, "laer_serve_replan_rate", "Fraction of decisions that replanned.", "gauge")
-	rate := 0.0
-	if decs := m.layerDecisions.Load(); decs > 0 {
-		rate = float64(m.replans.Load()) / float64(decs)
+	for _, f := range m.families() {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		if s, ok := f.value.(*summaryWindow); ok {
+			writeSummary(w, f.name, s)
+			continue
+		}
+		// %v prints integers in decimal and floats as %g.
+		fmt.Fprintf(w, "%s %v\n", f.name, f.value)
 	}
-	fmt.Fprintf(w, "laer_serve_replan_rate %g\n", rate)
-	promHeader(w, "laer_serve_migrations_total", "Expert replicas relocated.", "counter")
-	fmt.Fprintf(w, "laer_serve_migrations_total %d\n", m.migrations.Load())
-	promHeader(w, "laer_serve_incremental_solves_total", "Planning-step solves served through a synchronized drift tracker (amortized O(drifted experts)).", "counter")
-	fmt.Fprintf(w, "laer_serve_incremental_solves_total %d\n", m.incrementalSolves.Load())
-	promHeader(w, "laer_serve_full_solves_total", "Planning-step solves that re-scanned the whole layer.", "counter")
-	fmt.Fprintf(w, "laer_serve_full_solves_total %d\n", m.fullSolves.Load())
-
-	promHeader(w, "laer_serve_observe_payload_bytes_total", "Observation request payload bytes decoded (dense and delta).", "counter")
-	fmt.Fprintf(w, "laer_serve_observe_payload_bytes_total %d\n", m.observePayloadBytes.Load())
-	promHeader(w, "laer_serve_observes_dense_total", "Epoch observations posted as dense routing matrices.", "counter")
-	fmt.Fprintf(w, "laer_serve_observes_dense_total %d\n", m.observesDense.Load())
-	promHeader(w, "laer_serve_observes_delta_total", "Epoch observations posted as sparse routing_delta records.", "counter")
-	fmt.Fprintf(w, "laer_serve_observes_delta_total %d\n", m.observesDelta.Load())
-	promHeader(w, "laer_serve_observe_delta_resyncs_total", "Delta observes refused with 409 (epoch gap, missing base, or topology change); clients fall back to dense.", "counter")
-	fmt.Fprintf(w, "laer_serve_observe_delta_resyncs_total %d\n", m.deltaResyncs.Load())
-
-	promHeader(w, "laer_serve_topology_updates_total", "Topology updates applied.", "counter")
-	fmt.Fprintf(w, "laer_serve_topology_updates_total %d\n", m.topologyUpdates.Load())
-	promHeader(w, "laer_serve_fault_events_total", "Membership/degradation fault events absorbed.", "counter")
-	fmt.Fprintf(w, "laer_serve_fault_events_total %d\n", m.faultEvents.Load())
-	promHeader(w, "laer_serve_replicas_restored_total", "Expert replicas re-read from checkpoint during recovery.", "counter")
-	fmt.Fprintf(w, "laer_serve_replicas_restored_total %d\n", m.replicasRestored.Load())
-
-	promHeader(w, "laer_serve_streams_active", "Open SSE decision streams.", "gauge")
-	fmt.Fprintf(w, "laer_serve_streams_active %d\n", m.streamsActive.Load())
-	promHeader(w, "laer_serve_streams_opened_total", "SSE decision streams opened since start.", "counter")
-	fmt.Fprintf(w, "laer_serve_streams_opened_total %d\n", m.streamsOpened.Load())
-	promHeader(w, "laer_serve_stream_events_total", "Decision/topology events delivered to SSE subscribers.", "counter")
-	fmt.Fprintf(w, "laer_serve_stream_events_total %d\n", m.streamEvents.Load())
-	promHeader(w, "laer_serve_streams_dropped_total", "SSE subscribers disconnected for falling behind the event buffer.", "counter")
-	fmt.Fprintf(w, "laer_serve_streams_dropped_total %d\n", m.streamsDropped.Load())
-
-	promHeader(w, "laer_serve_sessions_replayed_total", "Sessions restored from the decision journal at boot.", "counter")
-	fmt.Fprintf(w, "laer_serve_sessions_replayed_total %d\n", m.sessionsReplayed.Load())
-	promHeader(w, "laer_serve_journal_replay_failures_total", "Journaled sessions dropped at boot because replay failed or diverged.", "counter")
-	fmt.Fprintf(w, "laer_serve_journal_replay_failures_total %d\n", m.replayFailures.Load())
-	promHeader(w, "laer_serve_journal_errors_total", "Journal append failures (the session keeps serving; its journal is abandoned).", "counter")
-	fmt.Fprintf(w, "laer_serve_journal_errors_total %d\n", m.journalErrors.Load())
-	promHeader(w, "laer_serve_journal_compactions_total", "Journal compactions: replayed history truncated to a planner-state checkpoint.", "counter")
-	fmt.Fprintf(w, "laer_serve_journal_compactions_total %d\n", m.journalCompactions.Load())
-	promHeader(w, "laer_serve_journal_replay_seconds", "Wall time of the last boot's journal replay.", "gauge")
-	fmt.Fprintf(w, "laer_serve_journal_replay_seconds %g\n", m.replaySeconds.load())
-
-	writeSummary(w, "laer_serve_recovery_latency_seconds",
-		"Topology-update recovery planning latency (quantiles over a sliding window; sum/count lifetime-cumulative).",
-		m.recoveryLat)
-
-	writeSummary(w, "laer_serve_solve_latency_seconds",
-		"Per-epoch planning solve latency (quantiles over a sliding window; sum/count lifetime-cumulative).",
-		m.solveLat)
-
-	promHeader(w, "laer_serve_predicted_imbalance", "Planner-predicted relative max device load of the latest epoch (1.0 = perfect).", "gauge")
-	fmt.Fprintf(w, "laer_serve_predicted_imbalance %g\n", m.lastImbalance.load())
-	writeSummary(w, "laer_serve_predicted_imbalance_window",
-		"Predicted-imbalance trajectory (quantiles over a sliding window; sum/count lifetime-cumulative).",
-		m.imbalance)
 }
 
-// writeSummary emits one Prometheus summary family: p50/p99 from the
-// sliding window, `_sum`/`_count` from the lifetime counters so they stay
-// monotone after the window wraps.
-func writeSummary(w io.Writer, name, help string, s *summaryWindow) {
+// writeSummary emits the samples of one Prometheus summary family:
+// p50/p99 from the sliding window, `_sum`/`_count` from the lifetime
+// counters so they stay monotone after the window wraps.
+func writeSummary(w io.Writer, name string, s *summaryWindow) {
 	vals, sum, count := s.snapshot()
-	promHeader(w, name, help, "summary")
 	for _, q := range []float64{50, 99} {
 		v := 0.0
 		if len(vals) > 0 {

@@ -24,12 +24,7 @@ import (
 // solve) is not replay-stable — only the decision itself is.
 func decisionJSON(t *testing.T, resp *ObserveResponse) string {
 	t.Helper()
-	b, err := json.Marshal(decisionRecord{
-		Epoch:       resp.Epoch,
-		Boundary:    resp.Boundary,
-		Observation: resp.Observation,
-		Summary:     journalSummary(resp.Summary),
-	})
+	b, err := json.Marshal(decisionRecordOf(resp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,5 +539,83 @@ func TestJournalReplayConcurrentMatchesSerial(t *testing.T) {
 	conc.c.do("POST", "/v1/sessions", quickSpec("warm"), http.StatusCreated, &c13)
 	if s13.ID != fmt.Sprintf("s-%d", sessions+1) || c13.ID != s13.ID {
 		t.Fatalf("fresh sessions after replay got ids %s (serial) and %s (concurrent), want s-%d", s13.ID, c13.ID, sessions+1)
+	}
+}
+
+// readJournals returns every file in a journal directory by name.
+func readJournals(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = raw
+	}
+	return files
+}
+
+// TestBootJournalsNothing: replay runs the handlers' observe and
+// applyTopology, which journal whenever a writer is attached. A boot that
+// serves no request must leave every journal byte-identical — no replayed
+// record re-appended, no compaction rewritten — whether the journal holds
+// dense and delta observes, topology updates or a compaction checkpoint.
+func TestBootJournalsNothing(t *testing.T) {
+	drift := trace.DriftConfig{Model: trace.DriftMigration}
+	dir := t.TempDir()
+	jopts := Options{JournalDir: dir, SnapshotEvery: 2}
+	a, ac := newTestServer(t, jopts)
+	fail := TopologyUpdateRequest{Events: []faults.Event{{Kind: faults.NodeFail, Node: 1}}}
+
+	// Compacted: dense, delta (the checkpoint, with its baseline), then a
+	// delta and a topology update after it.
+	var compacted SessionInfo
+	ac.do("POST", "/v1/sessions", quickSpec("warm"), http.StatusCreated, &compacted)
+	stream := observationStream(t, compacted, 3, 4, drift)
+	obs := "/v1/sessions/" + compacted.ID + "/observe"
+	ac.do("POST", obs, ObserveRequest{Routing: stream[0]}, http.StatusOK, nil)
+	for e := 1; e < 3; e++ {
+		ac.do("POST", obs, ObserveRequest{Epoch: e, RoutingDelta: wireDeltas(t, stream[e-1], stream[e])}, http.StatusOK, nil)
+	}
+	ac.do("POST", "/v1/sessions/"+compacted.ID+"/topology", fail, http.StatusOK, nil)
+
+	// Uncompacted: a dense observe and a topology update.
+	var plain SessionInfo
+	ac.do("POST", "/v1/sessions", quickSpec("predictive"), http.StatusCreated, &plain)
+	stream = observationStream(t, plain, 1, 4, drift)
+	ac.do("POST", "/v1/sessions/"+plain.ID+"/observe", ObserveRequest{Routing: stream[0]}, http.StatusOK, nil)
+	ac.do("POST", "/v1/sessions/"+plain.ID+"/topology", fail, http.StatusOK, nil)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := a.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := journalKinds(t, filepath.Join(dir, compacted.ID+".jnl")),
+		"[open state baseline observe-delta decision topology topology-decision]"; fmt.Sprint(got) != want {
+		t.Fatalf("compacted journal holds %v, want %s", got, want)
+	}
+	before := readJournals(t, dir)
+
+	b, _ := newTestServer(t, jopts)
+	if replayed, failures := b.metrics.sessionsReplayed.Load(), b.metrics.replayFailures.Load(); replayed != 2 || failures != 0 {
+		t.Fatalf("replay metrics: %d restored, %d failed", replayed, failures)
+	}
+	if err := b.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	after := readJournals(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("boot changed the journal directory: %d files before, %d after", len(before), len(after))
+	}
+	for name, raw := range before {
+		if !bytes.Equal(after[name], raw) {
+			t.Errorf("boot rewrote %s: %d bytes before, %d after", name, len(raw), len(after[name]))
+		}
 	}
 }

@@ -332,8 +332,9 @@ func newSession(id string, seq uint64, spec SessionSpec, pool *par.Pool) (*sessi
 
 // attach wires a session to its server's metrics, logging and journal
 // cadence. The journal writer itself is set separately — at open time by
-// the handler, after replay by replaySession — so the replay loop never
-// re-journals the records it is feeding.
+// the handler, after the replay loop by replaySession — so replay, which
+// runs the handlers' observe and applyTopology, never re-journals the
+// records it is feeding.
 func (s *session) attach(srv *Server) {
 	s.metrics = srv.metrics
 	s.logf = srv.logf
@@ -523,30 +524,6 @@ func (s *session) applyDeltaLocked(epoch int, deltas []*trace.WireDelta) error {
 	return nil
 }
 
-// planLocked runs the decision core for one observed epoch. Caller holds
-// s.mu. A solve error poisons the session (see session.failed).
-func (s *session) planLocked(routing []*trace.RoutingMatrix) (*ObserveResponse, error) {
-	if s.failed != nil {
-		return nil, fmt.Errorf("session %s failed and must be reopened: %w", s.id, s.failed)
-	}
-	start := time.Now()
-	boundary, observation, err := s.core.PlanEpoch(routing)
-	if err != nil {
-		s.failed = err
-		return nil, err
-	}
-	resp := &ObserveResponse{
-		Session:      s.id,
-		Epoch:        s.info.Epochs,
-		Boundary:     boundary,
-		Observation:  observation,
-		Summary:      s.core.Summarize(),
-		SolveSeconds: time.Since(start).Seconds(),
-	}
-	s.info.Epochs++
-	return resp, nil
-}
-
 // journalDeltaThreshold gates server-side delta journaling of a dense
 // post: a sparse cell journals as a (device, diff) pair plus framing where
 // a dense cell is one number, so a delta only saves bytes while the
@@ -569,7 +546,8 @@ func journalDeltaThreshold(cells, layers, devices, experts int) bool {
 // observation whenever that is smaller (journalDeltaThreshold); the diff
 // is computed before the copy overwrites the retained state, and only
 // while journaling is live. Client deltas are journaled verbatim. Either
-// way the journal reconstructs the same matrices on replay.
+// way the journal reconstructs the same matrices on replay, which feeds
+// each journaled observation back through this method.
 func (s *session) observe(req ObserveRequest) (*ObserveResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -597,32 +575,56 @@ func (s *session) observe(req ObserveRequest) (*ObserveResponse, error) {
 		}
 		s.applyDenseLocked(req.Routing)
 	}
-	resp, err := s.planLocked(s.routing)
+	start := time.Now()
+	boundary, observation, err := s.core.PlanEpoch(s.routing)
 	if err != nil {
+		s.failed = err // see session.failed
 		return nil, err
 	}
+	resp := &ObserveResponse{
+		Session:      s.id,
+		Epoch:        s.info.Epochs,
+		Boundary:     boundary,
+		Observation:  observation,
+		Summary:      s.core.Summarize(),
+		SolveSeconds: time.Since(start).Seconds(),
+	}
+	s.info.Epochs++
 	s.haveBase = true
 	if journalDeltas != nil {
 		s.journalLocked(journal.KindObserveDelta, deltaObserveRecord{Epoch: resp.Epoch, Deltas: journalDeltas})
 	} else {
 		s.journalLocked(journal.KindObserve, observeRecord{Routing: req.Routing})
 	}
-	s.journalLocked(journal.KindDecision, decisionRecord{
-		Epoch:       resp.Epoch,
-		Boundary:    resp.Boundary,
-		Observation: resp.Observation,
-		Summary:     journalSummary(resp.Summary),
-	})
+	s.journalLocked(journal.KindDecision, decisionRecordOf(resp))
 	s.maybeSnapshotLocked()
 	s.publishLocked(eventDecision, resp)
 	return resp, nil
 }
 
-// applyTopologyLocked applies validated, normalized fault events and the
-// forced re-layout they demand. Caller holds s.mu.
-func (s *session) applyTopologyLocked(events []faults.Event) (*TopologyUpdateResponse, error) {
+// applyTopology applies a client's membership/degradation events. Events
+// are dry-run validated against the session's live topology before
+// anything mutates, so a bad request (a clientError) leaves the session
+// untouched; a repair failure after validation poisons the session like a
+// solve failure. Like observe, the event/decision pair is journaled after
+// success, the decision pushed to subscribers, and replay feeds each
+// journaled update back through this method.
+func (s *session) applyTopology(req TopologyUpdateRequest) (*TopologyUpdateResponse, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.failed != nil {
 		return nil, fmt.Errorf("session %s failed and must be reopened: %w", s.id, s.failed)
+	}
+	if len(req.Events) == 0 {
+		return nil, clientError{fmt.Errorf("serve: topology update carries no events")}
+	}
+	events := make([]faults.Event, len(req.Events))
+	for i, ev := range req.Events {
+		ev.Epoch, ev.Iter = 0, 0 // effective immediately
+		events[i] = ev
+	}
+	if err := faults.Schedule(events).Validate(s.core.Topo()); err != nil {
+		return nil, clientError{err}
 	}
 	start := time.Now()
 	decs, err := s.core.ApplyFaults(events)
@@ -642,48 +644,15 @@ func (s *session) applyTopologyLocked(events []faults.Event) (*TopologyUpdateRes
 	// diffing against no longer describes the session's world, so the next
 	// observe must be dense (a delta now gets a 409 resync).
 	s.haveBase = false
-	return &TopologyUpdateResponse{
+	resp := &TopologyUpdateResponse{
 		Session:               s.id,
 		Decisions:             decs,
 		AvailableDevices:      s.info.AvailableDevices,
 		RecoveryChargeSeconds: charge,
 		RecoverySeconds:       time.Since(start).Seconds(),
-	}, nil
-}
-
-// applyTopology applies a client's membership/degradation events. Events
-// are dry-run validated against the session's live topology before
-// anything mutates, so a bad request (a clientError) leaves the session
-// untouched; a repair failure after validation poisons the session like a
-// solve failure. Like observe, the event/decision pair is journaled after
-// success and the decision pushed to subscribers.
-func (s *session) applyTopology(req TopologyUpdateRequest) (*TopologyUpdateResponse, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed != nil {
-		return nil, fmt.Errorf("session %s failed and must be reopened: %w", s.id, s.failed)
-	}
-	if len(req.Events) == 0 {
-		return nil, clientError{fmt.Errorf("serve: topology update carries no events")}
-	}
-	events := make([]faults.Event, len(req.Events))
-	for i, ev := range req.Events {
-		ev.Epoch, ev.Iter = 0, 0 // effective immediately
-		events[i] = ev
-	}
-	if err := faults.Schedule(events).Validate(s.core.Topo()); err != nil {
-		return nil, clientError{err}
-	}
-	resp, err := s.applyTopologyLocked(events)
-	if err != nil {
-		return nil, err
 	}
 	s.journalLocked(journal.KindTopology, topologyRecord{Events: events})
-	s.journalLocked(journal.KindTopologyDecision, topologyDecisionRecord{
-		Decisions:             resp.Decisions,
-		AvailableDevices:      resp.AvailableDevices,
-		RecoveryChargeSeconds: resp.RecoveryChargeSeconds,
-	})
+	s.journalLocked(journal.KindTopologyDecision, topologyDecisionRecordOf(resp))
 	s.publishLocked(eventTopology, resp)
 	return resp, nil
 }

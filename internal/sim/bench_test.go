@@ -18,15 +18,14 @@ func BenchmarkEngineRun(b *testing.B) {
 			prev[i] = NoTask
 		}
 		for l := 0; l < layers; l++ {
-			attn := make([][]TaskID, devices)
+			attn := make([]TaskID, devices)
 			for d := 0; d < devices; d++ {
-				id := e.Compute("attn", d, StreamCompute, CatAttention, 1e-3, prev[d])
-				attn[d] = []TaskID{id}
+				attn[d] = e.Compute(d, StreamCompute, CatAttention, 1e-3, prev[d])
 			}
-			a2a := e.Collective("a2a", all, StreamA2A, CatA2A, 5e-4, attn)
+			a2a := e.Collective(all, StreamA2A, CatA2A, 5e-4, attn)
 			for d := 0; d < devices; d++ {
-				ex := e.Compute("expert", d, StreamCompute, CatExpert, 2e-3, a2a[d])
-				e.Compute("prefetch", d, StreamPrefetch, CatPrefetch, 1e-3, a2a[d])
+				ex := e.Compute(d, StreamCompute, CatExpert, 2e-3, a2a[d])
+				e.Compute(d, StreamPrefetch, CatPrefetch, 1e-3, a2a[d])
 				prev[d] = ex
 			}
 		}
@@ -62,12 +61,12 @@ func BenchmarkEngineReuse(b *testing.B) {
 		}
 		for l := 0; l < layers; l++ {
 			for d := 0; d < devices; d++ {
-				prev[d] = e.Compute("attn", d, StreamCompute, CatAttention, 1e-3, prev[d])
+				prev[d] = e.Compute(d, StreamCompute, CatAttention, 1e-3, prev[d])
 			}
-			a2a := e.Collective1("a2a", all, StreamA2A, CatA2A, 5e-4, prev)
+			a2a := e.Collective(all, StreamA2A, CatA2A, 5e-4, prev)
 			for d := 0; d < devices; d++ {
-				ex := e.Compute("expert", d, StreamCompute, CatExpert, 2e-3, a2a[d])
-				e.Compute("prefetch", d, StreamPrefetch, CatPrefetch, 1e-3, a2a[d])
+				ex := e.Compute(d, StreamCompute, CatExpert, 2e-3, a2a[d])
+				e.Compute(d, StreamPrefetch, CatPrefetch, 1e-3, a2a[d])
 				prev[d] = ex
 			}
 		}

@@ -16,12 +16,12 @@ func buildIterationGraph(e *Engine, devices, layers int) {
 	for l := 0; l < layers; l++ {
 		attn := make([]TaskID, devices)
 		for d := 0; d < devices; d++ {
-			attn[d] = e.Compute("attn", d, StreamCompute, CatAttention, 1e-3, prev[d])
+			attn[d] = e.Compute(d, StreamCompute, CatAttention, 1e-3, prev[d])
 		}
-		a2a := e.Collective1("a2a", all, StreamA2A, CatA2A, 5e-4, attn)
+		a2a := e.Collective(all, StreamA2A, CatA2A, 5e-4, attn)
 		for d := 0; d < devices; d++ {
-			ex := e.Compute("expert", d, StreamCompute, CatExpert, 2e-3, a2a[d])
-			e.Compute("prefetch", d, StreamPrefetch, CatPrefetch, 1e-3, a2a[d])
+			ex := e.Compute(d, StreamCompute, CatExpert, 2e-3, a2a[d])
+			e.Compute(d, StreamPrefetch, CatPrefetch, 1e-3, a2a[d])
 			prev[d] = ex
 		}
 	}
@@ -81,36 +81,5 @@ func TestResetChangesDeviceCount(t *testing.T) {
 		if got.Makespan() != want.Makespan() {
 			t.Fatalf("n=%d: makespan %g, want %g", n, got.Makespan(), want.Makespan())
 		}
-	}
-}
-
-// TestCollective1MatchesCollective: the single-dep fast path must schedule
-// identically to the general dependency-list form.
-func TestCollective1MatchesCollective(t *testing.T) {
-	build := func(single bool) *Result {
-		e := NewEngine(4)
-		all := []int{0, 1, 2, 3}
-		pre := make([]TaskID, 4)
-		for d := 0; d < 4; d++ {
-			pre[d] = e.Compute("pre", d, StreamCompute, CatOther, float64(d+1)*1e-3)
-		}
-		if single {
-			e.Collective1("c", all, StreamA2A, CatA2A, 2e-3, pre)
-		} else {
-			deps := make([][]TaskID, 4)
-			for i := range deps {
-				deps[i] = []TaskID{pre[i]}
-			}
-			e.Collective("c", all, StreamA2A, CatA2A, 2e-3, deps)
-		}
-		r, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	a, b := build(true), build(false)
-	if a.Makespan() != b.Makespan() {
-		t.Errorf("Collective1 makespan %g, Collective %g", a.Makespan(), b.Makespan())
 	}
 }

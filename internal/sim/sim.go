@@ -14,7 +14,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Stream identifies one of the per-device in-order queues, matching the
@@ -98,7 +97,6 @@ const NoTask TaskID = -1
 
 type task struct {
 	id       TaskID
-	name     string
 	device   int
 	stream   Stream
 	category Category
@@ -193,26 +191,26 @@ func (e *Engine) queueIndex(device int, stream Stream) int {
 	return device*int(NumStreams) + int(stream)
 }
 
-func (e *Engine) addTask(name string, device int, stream Stream, cat Category, dur float64, coll int, deps []TaskID) TaskID {
+func (e *Engine) addTask(device int, stream Stream, cat Category, dur float64, coll int, deps []TaskID) TaskID {
+	id := TaskID(len(e.tasks))
 	if device < 0 || device >= e.devices {
-		panic(fmt.Sprintf("sim: device %d out of range", device))
+		panic(fmt.Sprintf("sim: task %d: device %d out of range", id, device))
 	}
 	if dur < 0 {
-		panic(fmt.Sprintf("sim: negative duration %g for %s", dur, name))
+		panic(fmt.Sprintf("sim: task %d: negative duration %g", id, dur))
 	}
-	id := TaskID(len(e.tasks))
 	off := len(e.depArena)
 	for _, d := range deps {
 		if d == NoTask {
 			continue
 		}
 		if int(d) < 0 || int(d) >= len(e.tasks) {
-			panic(fmt.Sprintf("sim: dependency %d of %s does not exist", d, name))
+			panic(fmt.Sprintf("sim: task %d: dependency %d does not exist", id, d))
 		}
 		e.depArena = append(e.depArena, d)
 	}
 	e.tasks = append(e.tasks, task{
-		id: id, name: name, device: device, stream: stream, category: cat,
+		id: id, device: device, stream: stream, category: cat,
 		duration: dur, depOff: off, depCnt: len(e.depArena) - off, collective: coll,
 	})
 	qi := e.queueIndex(device, stream)
@@ -221,21 +219,21 @@ func (e *Engine) addTask(name string, device int, stream Stream, cat Category, d
 }
 
 // Compute enqueues a plain task on one device's stream and returns its ID.
-func (e *Engine) Compute(name string, device int, stream Stream, cat Category, dur float64, deps ...TaskID) TaskID {
-	return e.addTask(name, device, stream, cat, dur, -1, deps)
+func (e *Engine) Compute(device int, stream Stream, cat Category, dur float64, deps ...TaskID) TaskID {
+	return e.addTask(device, stream, cat, dur, -1, deps)
 }
 
 // Collective enqueues one synchronized operation across the given devices
-// on the given stream. deps[i] lists the dependencies of member i (may be
-// nil). All members start at the latest member's ready time and end
-// together after dur. The returned slice holds one member TaskID per
-// device, in the order of the devices argument.
-func (e *Engine) Collective(name string, devices []int, stream Stream, cat Category, dur float64, deps [][]TaskID) []TaskID {
+// on the given stream. deps[i] (which may be NoTask) gates member i; nil
+// deps gates none. All members start at the latest member's ready time
+// and end together after dur. The returned slice holds one member TaskID
+// per device, in the order of the devices argument.
+func (e *Engine) Collective(devices []int, stream Stream, cat Category, dur float64, deps []TaskID) []TaskID {
 	if len(devices) == 0 {
 		panic("sim: collective with no members")
 	}
 	if deps != nil && len(deps) != len(devices) {
-		panic(fmt.Sprintf("sim: collective %s has %d dep lists for %d members", name, len(deps), len(devices)))
+		panic(fmt.Sprintf("sim: collective has %d deps for %d members", len(deps), len(devices)))
 	}
 	ci := len(e.collectives)
 	e.collectives = append(e.collectives, collective{duration: dur})
@@ -243,35 +241,9 @@ func (e *Engine) Collective(name string, devices []int, stream Stream, cat Categ
 	for i, dev := range devices {
 		var d []TaskID
 		if deps != nil {
-			d = deps[i]
+			d = deps[i : i+1] // addTask skips NoTask
 		}
-		ids[i] = e.addTask(name, dev, stream, cat, dur, ci, d)
-	}
-	e.collectives[ci].members = ids
-	return ids
-}
-
-// Collective1 is Collective for the common case of at most one dependency
-// per member: deps[i] (which may be NoTask) gates member i. It avoids the
-// per-call [][]TaskID dependency-list allocation of the general form.
-func (e *Engine) Collective1(name string, devices []int, stream Stream, cat Category, dur float64, deps []TaskID) []TaskID {
-	if len(devices) == 0 {
-		panic("sim: collective with no members")
-	}
-	if deps != nil && len(deps) != len(devices) {
-		panic(fmt.Sprintf("sim: collective %s has %d deps for %d members", name, len(deps), len(devices)))
-	}
-	ci := len(e.collectives)
-	e.collectives = append(e.collectives, collective{duration: dur})
-	ids := make([]TaskID, len(devices))
-	var one [1]TaskID
-	for i, dev := range devices {
-		var d []TaskID
-		if deps != nil && deps[i] != NoTask {
-			one[0] = deps[i]
-			d = one[:]
-		}
-		ids[i] = e.addTask(name, dev, stream, cat, dur, ci, d)
+		ids[i] = e.addTask(dev, stream, cat, dur, ci, d)
 	}
 	e.collectives[ci].members = ids
 	return ids
@@ -423,49 +395,4 @@ func (r *Result) MeanCategoryTime(cat Category) float64 {
 func (r *Result) TaskWindow(id TaskID) (start, end float64) {
 	t := r.tasks[id]
 	return t.start, t.end
-}
-
-// TaskSpan describes one scheduled task for inspection/visualisation.
-type TaskSpan struct {
-	ID       TaskID
-	Name     string
-	Device   int
-	Stream   Stream
-	Category Category
-	Start    float64
-	End      float64
-}
-
-// Spans returns all scheduled tasks on a device, ordered by start time.
-func (r *Result) Spans(dev int) []TaskSpan {
-	var out []TaskSpan
-	for i := range r.tasks {
-		t := &r.tasks[i]
-		if t.device != dev {
-			continue
-		}
-		out = append(out, TaskSpan{
-			ID: t.id, Name: t.name, Device: t.device, Stream: t.stream,
-			Category: t.category, Start: t.start, End: t.end,
-		})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Start != out[b].Start {
-			return out[a].Start < out[b].Start
-		}
-		return out[a].ID < out[b].ID
-	})
-	return out
-}
-
-// DeviceFinish returns the completion time of the last task on a device.
-func (r *Result) DeviceFinish(dev int) float64 {
-	latest := 0.0
-	for i := range r.tasks {
-		t := &r.tasks[i]
-		if t.device == dev && t.end > latest {
-			latest = t.end
-		}
-	}
-	return latest
 }

@@ -16,8 +16,8 @@ func run(t *testing.T, e *Engine) *Result {
 
 func TestStreamsAreInOrder(t *testing.T) {
 	e := NewEngine(1)
-	a := e.Compute("a", 0, StreamCompute, CatOther, 1.0)
-	b := e.Compute("b", 0, StreamCompute, CatOther, 2.0)
+	a := e.Compute(0, StreamCompute, CatOther, 1.0)
+	b := e.Compute(0, StreamCompute, CatOther, 2.0)
 	r := run(t, e)
 	as, ae := r.TaskWindow(a)
 	bs, be := r.TaskWindow(b)
@@ -28,8 +28,8 @@ func TestStreamsAreInOrder(t *testing.T) {
 
 func TestStreamsOverlap(t *testing.T) {
 	e := NewEngine(1)
-	e.Compute("compute", 0, StreamCompute, CatExpert, 5.0)
-	e.Compute("prefetch", 0, StreamPrefetch, CatPrefetch, 3.0)
+	e.Compute(0, StreamCompute, CatExpert, 5.0)
+	e.Compute(0, StreamPrefetch, CatPrefetch, 3.0)
 	r := run(t, e)
 	if r.Makespan() != 5.0 {
 		t.Errorf("makespan = %g, want 5 (streams overlap)", r.Makespan())
@@ -38,8 +38,8 @@ func TestStreamsOverlap(t *testing.T) {
 
 func TestDependenciesAcrossStreams(t *testing.T) {
 	e := NewEngine(1)
-	a := e.Compute("a", 0, StreamCompute, CatOther, 2.0)
-	b := e.Compute("b", 0, StreamPrefetch, CatPrefetch, 1.0, a)
+	a := e.Compute(0, StreamCompute, CatOther, 2.0)
+	b := e.Compute(0, StreamPrefetch, CatPrefetch, 1.0, a)
 	r := run(t, e)
 	bs, be := r.TaskWindow(b)
 	if bs != 2.0 || be != 3.0 {
@@ -50,10 +50,9 @@ func TestDependenciesAcrossStreams(t *testing.T) {
 func TestCollectiveSynchronizesMembers(t *testing.T) {
 	e := NewEngine(2)
 	// Device 0 is busy until t=4, device 1 until t=1.
-	a0 := e.Compute("w0", 0, StreamCompute, CatExpert, 4.0)
-	a1 := e.Compute("w1", 1, StreamCompute, CatExpert, 1.0)
-	ids := e.Collective("a2a", []int{0, 1}, StreamA2A, CatA2A, 2.0,
-		[][]TaskID{{a0}, {a1}})
+	a0 := e.Compute(0, StreamCompute, CatExpert, 4.0)
+	a1 := e.Compute(1, StreamCompute, CatExpert, 1.0)
+	ids := e.Collective([]int{0, 1}, StreamA2A, CatA2A, 2.0, []TaskID{a0, a1})
 	r := run(t, e)
 	s0, e0 := r.TaskWindow(ids[0])
 	s1, e1 := r.TaskWindow(ids[1])
@@ -79,14 +78,13 @@ func TestCollectiveSynchronizesMembers(t *testing.T) {
 func TestImbalanceBecomesA2AWait(t *testing.T) {
 	build := func(loads []float64) float64 {
 		e := NewEngine(len(loads))
-		deps := make([][]TaskID, len(loads))
+		deps := make([]TaskID, len(loads))
 		devs := make([]int, len(loads))
 		for d, l := range loads {
-			id := e.Compute("expert", d, StreamCompute, CatExpert, l)
-			deps[d] = []TaskID{id}
+			deps[d] = e.Compute(d, StreamCompute, CatExpert, l)
 			devs[d] = d
 		}
-		e.Collective("combine", devs, StreamA2A, CatA2A, 0.1, deps)
+		e.Collective(devs, StreamA2A, CatA2A, 0.1, deps)
 		r, err := e.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -105,13 +103,13 @@ func TestImbalanceBecomesA2AWait(t *testing.T) {
 // report the deadlock instead of hanging.
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine(1)
-	p := e.addTask("p", 0, StreamCompute, CatOther, 1, -1, nil)
+	p := e.addTask(0, StreamCompute, CatOther, 1, -1, nil)
 	// Forward reference: patch a dependency on the not-yet-enqueued q into
 	// the arena.
 	e.depArena = append(e.depArena, TaskID(1))
 	e.tasks[p].depOff = len(e.depArena) - 1
 	e.tasks[p].depCnt = 1
-	e.addTask("q", 0, StreamCompute, CatOther, 1, -1, nil)
+	e.addTask(0, StreamCompute, CatOther, 1, -1, nil)
 	if _, err := e.Run(); err == nil {
 		t.Error("deadlocked graph completed successfully")
 	}
@@ -124,12 +122,12 @@ func TestCrossCollectiveDeadlock(t *testing.T) {
 	// Device 0 stream order: A then B. Device 1 stream order: B then A.
 	ci := len(e.collectives)
 	e.collectives = append(e.collectives, collective{duration: 1})
-	a0 := e.addTask("A", 0, StreamA2A, CatA2A, 1, ci, nil)
+	a0 := e.addTask(0, StreamA2A, CatA2A, 1, ci, nil)
 	cj := len(e.collectives)
 	e.collectives = append(e.collectives, collective{duration: 1})
-	b1 := e.addTask("B", 1, StreamA2A, CatA2A, 1, cj, nil)
-	b0 := e.addTask("B", 0, StreamA2A, CatA2A, 1, cj, nil)
-	a1 := e.addTask("A", 1, StreamA2A, CatA2A, 1, ci, nil)
+	b1 := e.addTask(1, StreamA2A, CatA2A, 1, cj, nil)
+	b0 := e.addTask(0, StreamA2A, CatA2A, 1, cj, nil)
+	a1 := e.addTask(1, StreamA2A, CatA2A, 1, ci, nil)
 	e.collectives[ci].members = []TaskID{a0, a1}
 	e.collectives[cj].members = []TaskID{b0, b1}
 	if _, err := e.Run(); err == nil {
@@ -139,38 +137,18 @@ func TestCrossCollectiveDeadlock(t *testing.T) {
 
 func TestCollectiveSubsetLeavesOthersFree(t *testing.T) {
 	e := NewEngine(3)
-	e.Collective("pair", []int{0, 1}, StreamA2A, CatA2A, 2.0, nil)
-	free := e.Compute("free", 2, StreamCompute, CatExpert, 1.0)
+	e.Collective([]int{0, 1}, StreamA2A, CatA2A, 2.0, nil)
+	free := e.Compute(2, StreamCompute, CatExpert, 1.0)
 	r := run(t, e)
 	if _, end := r.TaskWindow(free); end != 1.0 {
 		t.Errorf("non-member device blocked by collective: end=%g", end)
 	}
 }
 
-func TestSpansSortedAndComplete(t *testing.T) {
-	e := NewEngine(1)
-	e.Compute("a", 0, StreamCompute, CatAttention, 1)
-	e.Compute("b", 0, StreamPrefetch, CatPrefetch, 0.5)
-	e.Compute("c", 0, StreamCompute, CatExpert, 2)
-	r := run(t, e)
-	spans := r.Spans(0)
-	if len(spans) != 3 {
-		t.Fatalf("got %d spans, want 3", len(spans))
-	}
-	for i := 1; i < len(spans); i++ {
-		if spans[i].Start < spans[i-1].Start {
-			t.Error("spans not sorted by start time")
-		}
-	}
-	if r.DeviceFinish(0) != 3 {
-		t.Errorf("DeviceFinish = %g, want 3", r.DeviceFinish(0))
-	}
-}
-
 func TestZeroDurationTasks(t *testing.T) {
 	e := NewEngine(1)
-	a := e.Compute("a", 0, StreamCompute, CatOther, 0)
-	b := e.Compute("b", 0, StreamCompute, CatOther, 1, a)
+	a := e.Compute(0, StreamCompute, CatOther, 0)
+	b := e.Compute(0, StreamCompute, CatOther, 1, a)
 	r := run(t, e)
 	if _, end := r.TaskWindow(b); end != 1 {
 		t.Errorf("end = %g, want 1", end)
@@ -180,13 +158,13 @@ func TestZeroDurationTasks(t *testing.T) {
 func TestPanicsOnBadInput(t *testing.T) {
 	cases := []func(){
 		func() { NewEngine(0) },
-		func() { NewEngine(1).Compute("x", 5, StreamCompute, CatOther, 1) },
-		func() { NewEngine(1).Compute("x", 0, StreamCompute, CatOther, -1) },
-		func() { NewEngine(1).Compute("x", 0, StreamCompute, CatOther, 1, TaskID(42)) },
-		func() { NewEngine(1).Collective("x", nil, StreamA2A, CatA2A, 1, nil) },
+		func() { NewEngine(1).Compute(5, StreamCompute, CatOther, 1) },
+		func() { NewEngine(1).Compute(0, StreamCompute, CatOther, -1) },
+		func() { NewEngine(1).Compute(0, StreamCompute, CatOther, 1, TaskID(42)) },
+		func() { NewEngine(1).Collective(nil, StreamA2A, CatA2A, 1, nil) },
 		func() {
 			e := NewEngine(2)
-			e.Collective("x", []int{0, 1}, StreamA2A, CatA2A, 1, [][]TaskID{nil})
+			e.Collective([]int{0, 1}, StreamA2A, CatA2A, 1, []TaskID{NoTask})
 		},
 	}
 	for i, f := range cases {

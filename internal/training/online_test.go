@@ -2,6 +2,7 @@ package training
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"laermoe/internal/forecast"
@@ -450,5 +451,30 @@ func TestOnlineSlowDriftEventuallyReplans(t *testing.T) {
 	}
 	if later < 50 {
 		t.Fatalf("slow drift barely replanned after epoch 0: %d replicas moved (baseline ratchet?)", later)
+	}
+}
+
+// TestNewOnlinePlannerHoldsOneLayout bounds what building an online
+// planner allocates at a layout-dominated shape (synthetic-e4096 on 128x8
+// GPUs, one layer, where one E x N layout is 32 MiB): the planner holds
+// the layout in force and nothing sized like a second one, such as a
+// classic run's scheduler it never calls.
+func TestNewOnlinePlannerHoldsOneLayout(t *testing.T) {
+	arch := *model.SyntheticE4096
+	arch.Layers = 1
+	topo := topology.New(128, 8)
+	layout := uint64(arch.Experts) * uint64(topo.N()) * 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, err := NewOnlinePlanner(OnlineConfig{Policy: ReplanWarm, Arch: &arch, Topo: topo, Seed: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(p)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("NewOnlinePlanner allocated %.1f MiB (one layout is %d MiB)", float64(got)/(1<<20), layout>>20)
+	if limit := layout * 3 / 2; got >= limit {
+		t.Errorf("NewOnlinePlanner allocated %.1f MiB, want under 1.5 layouts (%.0f MiB)", float64(got)/(1<<20), float64(limit)/(1<<20))
 	}
 }

@@ -104,14 +104,13 @@ func (c RunConfig) withDefaults() RunConfig {
 }
 
 // Setup is the resolved execution configuration of a run (memory plan,
-// batch shape, scheduler), exposed for inspection and tests.
+// batch shape, cost model), exposed for inspection and tests.
 type Setup struct {
 	ExecConfig   executor.Config
 	MicroBatches int
 	TokensPerDev int // MoE-source tokens per device per micro-batch
 	TPDegree     int
 	GlobalBatch  int
-	Scheduler    baselines.Scheduler
 	// Params is the Eq. 2 cost model the run's planner scores layouts
 	// with, derived from the same context length and checkpointing flag
 	// the executor simulates.
@@ -130,7 +129,8 @@ func paradigmOf(s System) executor.Paradigm {
 	}
 }
 
-// Prepare resolves the memory plan and scheduler for a run configuration.
+// Prepare resolves the memory plan, batch shape and cost model for a run
+// configuration.
 func Prepare(cfg RunConfig) (*Setup, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Arch == nil || cfg.Topo == nil {
@@ -171,39 +171,6 @@ func Prepare(cfg RunConfig) (*Setup, error) {
 		Ckpt:                cfg.Ckpt,
 	}
 
-	var sched baselines.Scheduler
-	var err error
-	switch cfg.System {
-	case SystemLAER:
-		var p *planner.Planner
-		opts := cfg.SolverOpts
-		opts.Seed = cfg.Seed + 1
-		p, err = planner.New(cfg.Topo, cfg.Arch.Layers, cfg.Arch.Experts, cfg.Arch.ExpertCapacity,
-			params, opts, cfg.HistoryAlpha)
-		if err == nil {
-			sched = baselines.NewLAER(p)
-		}
-	case SystemFSDPEP, SystemMegatron:
-		sched, err = baselines.NewStaticEP(cfg.Arch.Experts, n, cfg.Arch.ExpertCapacity)
-	case SystemFlexMoE:
-		migration := cm.ExpertMigrationBytes() / cfg.Topo.InterBW
-		sched, err = baselines.NewFlexMoE(cfg.Topo, cfg.Arch.Layers, cfg.Arch.Experts,
-			cfg.Arch.ExpertCapacity, params, migration)
-	case SystemSmartMoE:
-		migration := cm.ExpertMigrationBytes() / cfg.Topo.InterBW
-		sched, err = baselines.NewSmartMoE(cfg.Topo, cfg.Arch.Layers, cfg.Arch.Experts,
-			cfg.Arch.ExpertCapacity, 25, migration)
-	case SystemFasterMoE:
-		sched, err = baselines.NewFasterMoE(cfg.Topo, cfg.Arch, 1.5)
-	case SystemBalanced:
-		sched = &baselines.BalancedOracle{Topo: cfg.Topo, C: cfg.Arch.ExpertCapacity}
-	default:
-		err = fmt.Errorf("training: unknown system %q", cfg.System)
-	}
-	if err != nil {
-		return nil, err
-	}
-
 	exec := executor.Config{
 		Arch:            cfg.Arch,
 		Topo:            cfg.Topo,
@@ -221,9 +188,38 @@ func Prepare(cfg RunConfig) (*Setup, error) {
 		TokensPerDev: tokensPerDev,
 		TPDegree:     tp,
 		GlobalBatch:  n * tokensPerDev * microBatches,
-		Scheduler:    sched,
 		Params:       params,
 	}, nil
+}
+
+// newScheduler builds the per-system scheduler of a classic Run. Only Run
+// needs one: the online engine plans through its own per-layer state, and
+// a LAER scheduler alone holds a static-EP layout of E x N ints.
+func newScheduler(cfg RunConfig, setup *Setup) (baselines.Scheduler, error) {
+	arch, topo := cfg.Arch, cfg.Topo
+	migration := costmodel.New(arch, topo, cfg.ContextLen).ExpertMigrationBytes() / topo.InterBW
+	switch cfg.System {
+	case SystemLAER:
+		opts := cfg.SolverOpts
+		opts.Seed = cfg.Seed + 1
+		p, err := planner.New(topo, arch.Layers, arch.Experts, arch.ExpertCapacity,
+			setup.Params, opts, cfg.HistoryAlpha)
+		if err != nil {
+			return nil, err
+		}
+		return baselines.NewLAER(p), nil
+	case SystemFSDPEP, SystemMegatron:
+		return baselines.NewStaticEP(arch.Experts, topo.N(), arch.ExpertCapacity)
+	case SystemFlexMoE:
+		return baselines.NewFlexMoE(topo, arch.Layers, arch.Experts, arch.ExpertCapacity, setup.Params, migration)
+	case SystemSmartMoE:
+		return baselines.NewSmartMoE(topo, arch.Layers, arch.Experts, arch.ExpertCapacity, 25, migration)
+	case SystemFasterMoE:
+		return baselines.NewFasterMoE(topo, arch, 1.5)
+	case SystemBalanced:
+		return &baselines.BalancedOracle{Topo: topo, C: arch.ExpertCapacity}, nil
+	}
+	return nil, fmt.Errorf("training: unknown system %q", cfg.System)
 }
 
 // Run simulates the configured number of iterations and returns the
@@ -231,6 +227,10 @@ func Prepare(cfg RunConfig) (*Setup, error) {
 func Run(cfg RunConfig) (*metrics.Run, error) {
 	cfg = cfg.withDefaults()
 	setup, err := Prepare(cfg)
+	if err != nil {
+		return nil, err
+	}
+	sched, err := newScheduler(cfg, setup)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +262,7 @@ func Run(cfg RunConfig) (*metrics.Run, error) {
 	}
 	for it := 0; it < cfg.Iterations; it++ {
 		routing := gen.Step()
-		plans, perr := setup.Scheduler.Plan(routing)
+		plans, perr := sched.Plan(routing)
 		if perr != nil {
 			return nil, perr
 		}
@@ -270,7 +270,7 @@ func Run(cfg RunConfig) (*metrics.Run, error) {
 		if rerr != nil {
 			return nil, rerr
 		}
-		iter.PlannerTime = setup.Scheduler.PlannerTime()
+		iter.PlannerTime = sched.PlannerTime()
 		run.Iterations = append(run.Iterations, *iter)
 	}
 	return run, nil
