@@ -242,7 +242,7 @@ func BenchmarkCommSchedulingModes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows = rows[:1]
 		for _, m := range modes {
-			run, err := training.Run(training.RunConfig{
+			run, _, err := training.Run(training.RunConfig{
 				System: training.SystemLAER, Arch: model.Mixtral8x7B,
 				Topo: topology.Default(), Comm: m.comm, CommSet: true,
 				Iterations: 8, Warmup: 2, Seed: 77, TraceSkew: 1.15,
@@ -275,7 +275,7 @@ func BenchmarkHistoryEstimator(b *testing.B) {
 	fmt.Println("== ablation: planner history estimator ==")
 	for i := 0; i < b.N; i++ {
 		for _, a := range alphas {
-			run, err := training.Run(training.RunConfig{
+			run, _, err := training.Run(training.RunConfig{
 				System: training.SystemLAER, Arch: model.Mixtral8x7B,
 				Topo: topology.Default(), HistoryAlpha: a.alpha,
 				Iterations: 8, Warmup: 2, Seed: 78, TraceSkew: 1.15,

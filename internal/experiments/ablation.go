@@ -53,7 +53,7 @@ func Fig12(opts Options) (*Fig12Result, error) {
 		case "fsdp+ep":
 			cfg.System = training.SystemFSDPEP
 		}
-		run, err := training.Run(cfg)
+		run, _, err := training.Run(cfg)
 		if err != nil {
 			return err
 		}

@@ -80,7 +80,7 @@ func Fig9(opts Options) (*Fig9Result, error) {
 	}
 	iterTimes := make([]float64, len(entries))
 	err := forEach(opts.Workers(), len(entries), func(i int) error {
-		run, err := training.Run(training.RunConfig{
+		run, _, err := training.Run(training.RunConfig{
 			System:        entries[i].system,
 			Arch:          model.Mixtral8x7B,
 			Topo:          opts.Topo,

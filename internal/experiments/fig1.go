@@ -116,7 +116,7 @@ func Fig1b(opts Options) (*Fig1bResult, error) {
 	}
 	runs := make([]*metrics.Run, len(conds))
 	err := forEach(opts.Workers(), len(conds), func(i int) error {
-		run, err := training.Run(training.RunConfig{
+		run, _, err := training.Run(training.RunConfig{
 			System:     conds[i].system,
 			Arch:       model.Mixtral8x7B,
 			Topo:       opts.Topo,

@@ -24,7 +24,7 @@ func caseStudyModels(quick bool) []*model.Config {
 }
 
 func caseStudyRun(opts Options, sys training.System, arch *model.Config) (*metrics.Run, error) {
-	return training.Run(training.RunConfig{
+	run, _, err := training.Run(training.RunConfig{
 		System:     sys,
 		Arch:       arch,
 		Topo:       opts.Topo,
@@ -33,6 +33,7 @@ func caseStudyRun(opts Options, sys training.System, arch *model.Config) (*metri
 		TraceSkew:  1.15, // wikitext
 		Seed:       opts.Seed + 101,
 	})
+	return run, err
 }
 
 // caseStudyGrid runs the (model x system) case-study grid on the worker

@@ -82,7 +82,7 @@ func Fig8(opts Options) (*Fig8Result, error) {
 	runs := make([]Fig8Cell, len(cells))
 	err := forEach(opts.Workers(), len(cells), func(i int) error {
 		c := cells[i]
-		run, err := training.Run(training.RunConfig{
+		run, _, err := training.Run(training.RunConfig{
 			System:        c.sys,
 			Arch:          c.arch,
 			Topo:          opts.Topo,

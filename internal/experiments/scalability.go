@@ -42,7 +42,7 @@ func Table4(opts Options) (*Table4Result, error) {
 			nodes = 1
 		}
 		topo := topology.New(nodes, n/nodes)
-		run, err := training.Run(training.RunConfig{
+		run, _, err := training.Run(training.RunConfig{
 			System:     sys,
 			Arch:       arch,
 			Topo:       topo,

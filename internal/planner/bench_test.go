@@ -36,10 +36,10 @@ func BenchmarkLiteRouting32(b *testing.B) {
 	}
 }
 
-// BenchmarkLiteRouting128 routes one layer at the online benchmark's
-// shape: 512 experts on 16x8 devices at capacity 4, so every expert gets
-// one replica and most tokens split globally over a single target.
-func BenchmarkLiteRouting128(b *testing.B) {
+// routing128 is one layer at the online benchmark's shape: 512 experts on
+// 16x8 devices at capacity 4, so every expert gets one replica and most
+// tokens split globally over a single target.
+func routing128(b *testing.B) (*trace.RoutingMatrix, *Layout, *topology.Topology) {
 	topo := topology.New(16, 8)
 	r := benchMatrix(b, 128, 512, 512)
 	s := NewSolver(topo, 4, CostParams{TokenBytes: 8192, ExpertFLOPsPerToken: 352e6, FLOPS: 140e12}, DefaultSolverOptions())
@@ -47,10 +47,28 @@ func BenchmarkLiteRouting128(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return r, sol.Layout, topo
+}
+
+// BenchmarkLiteRouting128 routes routing128's layer into single
+// assignments, the form the inference latency meter reads.
+func BenchmarkLiteRouting128(b *testing.B) {
+	r, layout, topo := routing128(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dispatchSink = LiteRouting(r, sol.Layout, topo)
+		dispatchSink = LiteRouting(r, layout, topo)
+	}
+}
+
+// BenchmarkLiteTraffic128 routes routing128's layer into the traffic
+// form, which is what a simulated training iteration reads.
+func BenchmarkLiteTraffic128(b *testing.B) {
+	r, layout, topo := routing128(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dispatchSink = LiteTraffic(r, layout, topo)
 	}
 }
 

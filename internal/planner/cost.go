@@ -30,6 +30,11 @@ type CostParams struct {
 // per-device serialized cost, preserving the topology-awareness the term
 // exists for at every scale.
 func CommCost(d *Dispatch, topo *topology.Topology, p CostParams) float64 {
+	if d.Traffic() {
+		// Summed per pair instead of per assignment, the bits would differ
+		// from the solver's streamed cost.
+		panic("planner: CommCost needs an assignment-form dispatch")
+	}
 	t := 0.0
 	for _, a := range d.Assignments {
 		if a.Src == a.Dst {

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -20,7 +21,25 @@ type Assignment struct {
 	Tokens int
 }
 
-// Dispatch is a sparse representation of S[i][j][k].
+// Dispatch is one layer's token routing strategy S[i][j][k], in one of
+// two forms.
+//
+// The assignment form lists the single assignments (Assignments). Every
+// router but LiteTraffic builds it, and the consumers that read one
+// (src, expert, dst) block at a time need it: Validate, CommCost, the
+// inference latency meter, the exact oracle and the baselines.
+//
+// The traffic form (LiteTraffic) keeps only what the executor prices a
+// layer by: the per-device received tokens and the per-(src, dst) token
+// counts. It has no Assignments. ReceivedLoads, AppendReceivedLoads,
+// CrossNodeTokens and FillVolumeMatrix answer from the counts with the
+// values the assignment form gives; Validate and CommCost reject it. Pair
+// counts come only from the traffic walk: an N x N slab per layer is
+// 64 MiB at N=4096, too much to add to every assignment-form dispatch.
+//
+// A dispatch owns its memory. No router hands out a buffer it reuses
+// later, so a caller may hold any number of dispatches at once, such as
+// one per layer until the iteration executes.
 type Dispatch struct {
 	N, E        int
 	Assignments []Assignment
@@ -29,7 +48,15 @@ type Dispatch struct {
 	// was produced by one of the package's routers, saving the
 	// O(assignments) recomputation on the executor's per-layer queries.
 	loads []int
+	// pairs holds the traffic form's token counts, row-major by source:
+	// pairs[src*N+dst] tokens move from src to dst. nil in the assignment
+	// form.
+	pairs []int32
 }
+
+// Traffic reports whether d is in the traffic form: pair counts and
+// received loads, no Assignments.
+func (d *Dispatch) Traffic() bool { return d.pairs != nil }
 
 // ReceivedLoads returns, per device, the number of assignments it computes
 // (Σ_{k,j} S[k][j][i] — the per-device expert workload).
@@ -73,24 +100,28 @@ func (d *Dispatch) cacheLoads() {
 	d.loads = loads
 }
 
-// SentLoads returns, per device, the number of assignments it originates.
-func (d *Dispatch) SentLoads() []int {
-	out := make([]int, d.N)
-	for _, a := range d.Assignments {
-		out[a.Src] += a.Tokens
-	}
-	return out
-}
-
 // FillVolumeMatrix overwrites vol, an N x N matrix the caller reuses
 // across dispatches, with the dispatch's All-to-All byte volumes at
 // tokenBytes per assignment. Local assignments (Src==Dst) move no bytes.
+// Both forms fill the same bits for an integer tokenBytes: every product
+// and partial sum is an integer below 2^53, so summing a pair's
+// assignments one by one is exact and equals its count times tokenBytes.
 func (d *Dispatch) FillVolumeMatrix(vol *comm.VolumeMatrix, tokenBytes float64) {
 	if vol.N != d.N {
 		panic(fmt.Sprintf("planner: %d-device volume matrix for a %d-device dispatch", vol.N, d.N))
 	}
 	for _, row := range vol.Bytes {
 		clear(row)
+	}
+	if d.pairs != nil {
+		for src, row := range vol.Bytes {
+			for dst, c := range d.pairs[src*d.N : (src+1)*d.N] {
+				if c != 0 && dst != src {
+					row[dst] = float64(c) * tokenBytes
+				}
+			}
+		}
+		return
 	}
 	for _, a := range d.Assignments {
 		if a.Src != a.Dst {
@@ -103,6 +134,16 @@ func (d *Dispatch) FillVolumeMatrix(vol *comm.VolumeMatrix, tokenBytes float64) 
 // boundary — the quantity lite routing minimizes.
 func (d *Dispatch) CrossNodeTokens(topo *topology.Topology) int {
 	n := 0
+	if d.pairs != nil {
+		for src := 0; src < d.N; src++ {
+			for dst, c := range d.pairs[src*d.N : (src+1)*d.N] {
+				if !topo.SameNode(src, dst) {
+					n += int(c)
+				}
+			}
+		}
+		return n
+	}
 	for _, a := range d.Assignments {
 		if !topo.SameNode(a.Src, a.Dst) {
 			n += a.Tokens
@@ -113,8 +154,12 @@ func (d *Dispatch) CrossNodeTokens(topo *topology.Topology) int {
 
 // Validate checks conservation against the routing matrix: for every
 // (device, expert), dispatched tokens must equal R[i][j], and every
-// destination must host a replica of the expert.
+// destination must host a replica of the expert. A traffic-form dispatch
+// has no per-expert blocks to check and is rejected.
 func (d *Dispatch) Validate(r *trace.RoutingMatrix, l *Layout) error {
+	if d.Traffic() {
+		return fmt.Errorf("planner: a traffic-form dispatch has no assignments to validate")
+	}
 	sent := make(map[[2]int]int)
 	for _, a := range d.Assignments {
 		if a.Tokens < 0 {
@@ -305,6 +350,35 @@ func LiteRouting(r *trace.RoutingMatrix, l *Layout, topo *topology.Topology) *Di
 	})
 	routePool.Put(sc)
 	d.loads = loads
+	return d
+}
+
+// LiteTraffic is LiteRouting in the traffic form: one walk of the same
+// Alg. 3 assignments into per-device received tokens and per-(src, dst)
+// token counts, with no sizing pass and no Assignments slice. The
+// executor prices a layer from nothing else, so a training iteration
+// simulates the same bits from either form.
+func LiteTraffic(r *trace.RoutingMatrix, l *Layout, topo *topology.Topology) *Dispatch {
+	if r.E != l.E || r.N != l.N {
+		panic(fmt.Sprintf("planner: routing matrix %dx%d does not match layout %dx%d", r.N, r.E, l.N, l.E))
+	}
+	n := r.N
+	d := &Dispatch{N: n, E: r.E, loads: make([]int, n), pairs: make([]int32, n*n)}
+	loads, pairs := d.loads, d.pairs
+	sc := routePool.Get().(*routeScratch)
+	sc.buildReplicas(l, topo)
+	forEachAssignment(r, l, topo, sc, func(src, _, dst, tokens int, _ bool) {
+		loads[dst] += tokens
+		pairs[src*n+dst] += int32(tokens)
+	})
+	routePool.Put(sc)
+	// A pair's count never exceeds its destination's load, so in-range
+	// loads mean no count wrapped.
+	for dst, v := range loads {
+		if v > math.MaxInt32 {
+			panic(fmt.Sprintf("planner: device %d receives %d tokens, past the traffic form's int32 counts", dst, v))
+		}
+	}
 	return d
 }
 

@@ -1,6 +1,9 @@
 package planner
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -238,9 +241,6 @@ func TestDispatchHelpers(t *testing.T) {
 		{Src: 0, Expert: 0, Dst: 1, Tokens: 5},
 		{Src: 1, Expert: 0, Dst: 1, Tokens: 3},
 	}}
-	if got := d.SentLoads(); got[0] != 5 || got[1] != 3 {
-		t.Errorf("SentLoads = %v", got)
-	}
 	if got := d.ReceivedLoads(); got[1] != 8 || got[0] != 0 {
 		t.Errorf("ReceivedLoads = %v", got)
 	}
@@ -250,4 +250,116 @@ func TestDispatchHelpers(t *testing.T) {
 	if vol.Bytes[0][1] != 500 || vol.Bytes[1][1] != 0 || vol.Bytes[1][0] != 0 {
 		t.Errorf("FillVolumeMatrix wrong: %v", vol.Bytes)
 	}
+}
+
+// TestLiteTrafficMatchesLiteRouting: on generated routings and layouts,
+// over clusters with a removed node and non-nominal link classes, the
+// traffic form carries exactly what LiteRouting's assignments sum to
+// (received loads, per-(src, dst) counts, cross-node tokens)
+// and fills the same volume-matrix bits, so the All-to-All prices the
+// same. Validate and CommCost reject it; a count past int32 panics.
+func TestLiteTrafficMatchesLiteRouting(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		nodes := 2 + rng.Intn(3)
+		topo := topology.New(nodes, 1+rng.Intn(8))
+		n := topo.N()
+		if trial%2 == 0 {
+			if err := topo.RemoveNode(rng.Intn(nodes)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var live []int
+		for d := 0; d < n; d++ {
+			if topo.Available(d) {
+				live = append(live, d)
+			}
+		}
+		if trial%3 == 0 {
+			for _, d := range live {
+				if rng.Intn(3) == 0 {
+					if err := topo.SetDeviceClassByName(d, []string{"slowlink", "crippled"}[rng.Intn(2)]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		e := 1 + rng.Intn(24)
+		r := trace.NewRoutingMatrix(n, e)
+		for i := range r.R {
+			for j := range r.R[i] {
+				if rng.Intn(3) > 0 {
+					r.R[i][j] = rng.Intn(1 << rng.Intn(12))
+				}
+			}
+		}
+		layout := NewLayout(e, n)
+		for j := 0; j < e; j++ {
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				layout.A[j][live[rng.Intn(len(live))]]++
+			}
+		}
+
+		lite := LiteRouting(r, layout, topo)
+		traffic := LiteTraffic(r, layout, topo)
+		if lite.Traffic() || !traffic.Traffic() || traffic.Assignments != nil {
+			t.Fatalf("trial %d: forms mixed up", trial)
+		}
+		pairs, loads := make([]int, n*n), make([]int, n)
+		for _, a := range lite.Assignments {
+			pairs[a.Src*n+a.Dst] += a.Tokens
+			loads[a.Dst] += a.Tokens
+		}
+		for i, c := range traffic.pairs {
+			if int(c) != pairs[i] {
+				t.Fatalf("trial %d: pair %d->%d carries %d tokens, assignments sum to %d", trial, i/n, i%n, c, pairs[i])
+			}
+		}
+		if got := traffic.AppendReceivedLoads(nil); !slices.Equal(got, loads) || !slices.Equal(traffic.ReceivedLoads(), loads) {
+			t.Fatalf("trial %d: traffic loads %v, assignments sum to %v", trial, got, loads)
+		}
+		if got, want := traffic.CrossNodeTokens(topo), lite.CrossNodeTokens(topo); got != want {
+			t.Fatalf("trial %d: traffic crosses %d tokens, assignments %d", trial, got, want)
+		}
+
+		tokenBytes := float64(1 + rng.Intn(1<<14))
+		va, vt := comm.NewVolumeMatrix(n), comm.NewVolumeMatrix(n)
+		for i := range vt.Bytes {
+			for k := range vt.Bytes[i] {
+				vt.Bytes[i][k] = 0.5 // stale volume from a previous dispatch
+			}
+		}
+		lite.FillVolumeMatrix(va, tokenBytes)
+		traffic.FillVolumeMatrix(vt, tokenBytes)
+		for i := range va.Bytes {
+			for k := range va.Bytes[i] {
+				if math.Float64bits(va.Bytes[i][k]) != math.Float64bits(vt.Bytes[i][k]) {
+					t.Fatalf("trial %d: volume %d->%d is %v from assignments, %v from traffic", trial, i, k, va.Bytes[i][k], vt.Bytes[i][k])
+				}
+			}
+		}
+		cm := comm.New(topo)
+		if a, b := cm.AllToAll(va), cm.AllToAll(vt); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("trial %d: All-to-All %v from assignments, %v from traffic", trial, a, b)
+		}
+		if traffic.Validate(r, layout) == nil {
+			t.Fatalf("trial %d: Validate accepted a traffic-form dispatch", trial)
+		}
+	}
+
+	topo := topology.New(1, 2)
+	layout := NewLayout(1, 2)
+	layout.A[0][1] = 1
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	small := matrixFrom([][]int{{1}, {2}})
+	mustPanic("CommCost of a traffic dispatch", func() { CommCost(LiteTraffic(small, layout, topo), topo, testParams()) })
+	mustPanic("LiteTraffic past int32", func() { LiteTraffic(matrixFrom([][]int{{math.MaxInt32}, {1}}), layout, topo) })
 }

@@ -13,8 +13,8 @@ const ScoreBalanceBlend = 0.5
 // ScoreBalanceInto so the dispatch hot path stays allocation-free in
 // steady state.
 type balanceScratch struct {
-	p    []float64
-	rems []remEntry
+	p   []float64
+	rem remScratch
 }
 
 var balancePool = sync.Pool{New: func() interface{} { return new(balanceScratch) }}
@@ -22,10 +22,8 @@ var balancePool = sync.Pool{New: func() interface{} { return new(balanceScratch)
 func (sc *balanceScratch) resize(e int) {
 	if cap(sc.p) < e {
 		sc.p = make([]float64, e)
-		sc.rems = make([]remEntry, e)
 	}
 	sc.p = sc.p[:e]
-	sc.rems = sc.rems[:e]
 }
 
 // ScoreBalanceInto reshapes a routing matrix toward balance: every
@@ -63,7 +61,7 @@ func ScoreBalanceInto(dst, src *RoutingMatrix, blend float64) *RoutingMatrix {
 		for j, v := range row {
 			sc.p[j] = float64(v)*inv + uniform
 		}
-		apportionInto(dst.R[i], sc.p, total, sc.rems)
+		apportionInto(dst.R[i], sc.p, total, &sc.rem)
 	}
 	balancePool.Put(sc)
 	return dst

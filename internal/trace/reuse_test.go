@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -171,7 +172,7 @@ func TestApportionMatchesReference(t *testing.T) {
 }
 
 // sortedApportionInto is the historical full-sort reference implementation,
-// kept as the oracle the quickselect kernel is pinned against.
+// kept as the oracle the counting-select kernel is pinned against.
 func sortedApportionInto(out []int, p []float64, total int, rems []remEntry) {
 	n := len(p)
 	assigned := 0
@@ -204,14 +205,46 @@ func sortedApportionInto(out []int, p []float64, total int, rems []remEntry) {
 	}
 }
 
-func TestApportionQuickselectMatchesSort(t *testing.T) {
+// TestApportionCountingSelectMatchesSort pins the counting select to the
+// full sort it replaced: end to end through apportionInto on random,
+// tied, all-equal (one bucket holds every entry) and negative
+// distributions up to E=16384, and at the kernel with k fixed at 1, n-1
+// and random values over fractions drawn uniform, from a four-value set,
+// all equal, packed into one bucket, or partly negative.
+func TestApportionCountingSelectMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	var sc remScratch
+	check := func(name string, p []float64, total int) {
+		t.Helper()
+		got := make([]int, len(p))
+		want := make([]int, len(p))
+		apportionInto(got, p, total, &sc)
+		sortedApportionInto(want, p, total, make([]remEntry, len(p)))
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s (n=%d total=%d): counting select %v != sort %v", name, len(p), total, got, want)
+		}
+	}
+	sizes := func(trial int) int {
+		switch trial % 50 {
+		case 0:
+			return 16384
+		case 1:
+			return 1 + rng.Intn(4096)
+		}
+		return 1 + rng.Intn(64)
+	}
 	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(64)
+		n := sizes(trial)
 		p := make([]float64, n)
 		var sum float64
 		for j := range p {
 			p[j] = rng.Float64()
+			if trial%4 == 1 && j > 0 && rng.Intn(3) == 0 {
+				p[j] = p[j-1] // generated fraction ties
+			}
+			if trial%4 == 2 && rng.Intn(8) == 0 {
+				p[j] = -p[j] // fractions in (-1, 0] clamp to bucket 0
+			}
 			sum += p[j]
 		}
 		if trial%3 == 0 {
@@ -220,13 +253,91 @@ func TestApportionQuickselectMatchesSort(t *testing.T) {
 				p[j] /= sum
 			}
 		}
-		total := rng.Intn(4096)
-		got := make([]int, n)
-		want := make([]int, n)
-		apportionInto(got, p, total, make([]remEntry, n))
-		sortedApportionInto(want, p, total, make([]remEntry, n))
-		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d (n=%d total=%d): quickselect %v != sort %v", trial, n, total, got, want)
+		check("random", p, rng.Intn(4*n+4096))
+
+		// All-equal fractions: every entry in one bucket, with the
+		// remainder k = 1 and k = n-1.
+		for j := range p {
+			p[j] = 1 / float64(n)
 		}
+		m := rng.Intn(8)
+		check("uniform k=1", p, n*m+1)
+		check("uniform k=n-1", p, n*m+n-1)
+	}
+
+	// Kernel level, k fixed.
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + sizes(trial)
+		rems := make([]remEntry, n)
+		equal := rng.Float64()
+		for j := range rems {
+			var f float64
+			switch trial % 5 {
+			case 0:
+				f = rng.Float64()
+			case 1:
+				f = []float64{0, 0.125, 0.5, 0.75}[rng.Intn(4)]
+			case 2:
+				f = equal
+			case 3:
+				f = 0.5 + rng.Float64()*1e-9 // one bucket at any size
+			case 4:
+				f = rng.Float64()*2 - 1
+			}
+			rems[j] = remEntry{j, f}
+		}
+		for _, k := range []int{1, n - 1, 1 + rng.Intn(n-1)} {
+			sc.resize(n)
+			got := append(sc.rems[:0], rems...)
+			clear(sc.buckets)
+			for _, r := range got {
+				sc.buckets[remBucket(r.frac, len(sc.buckets))]++
+			}
+			selectTopRems(got, k, sc.buckets)
+			want := slices.Clone(rems)
+			slices.SortFunc(want, remCmp)
+			gotIdx, wantIdx := make([]int, k), make([]int, k)
+			for i := 0; i < k; i++ {
+				gotIdx[i], wantIdx[i] = got[i].idx, want[i].idx
+			}
+			slices.Sort(gotIdx)
+			slices.Sort(wantIdx)
+			if !slices.Equal(gotIdx, wantIdx) {
+				t.Fatalf("trial %d (mode %d, n=%d, k=%d): selected %v, sort selects %v", trial, trial%5, n, k, gotIdx, wantIdx)
+			}
+		}
+	}
+}
+
+// TestApportionClampsUnbucketable: probabilities whose remainders fall
+// outside [0, 1) (negative, infinite, NaN, past int range) must not index
+// past the bucket counts, and a negative one ranks as the sort ranks it.
+func TestApportionClampsUnbucketable(t *testing.T) {
+	for _, p := range [][]float64{
+		{math.NaN(), 0.5, 0.25},
+		{math.Inf(1), 0.1, math.Inf(-1)},
+		{-0.3, 0.7, 0.6},
+		{1e300, 0.5, 0.5},
+	} {
+		out := Apportion(p, 10)
+		if len(out) != len(p) {
+			t.Fatalf("Apportion(%v) = %v", p, out)
+		}
+	}
+	for _, c := range []struct {
+		frac float64
+		want int
+	}{
+		{math.NaN(), 0}, {-0.5, 0}, {0, 0}, {0.5, 4}, {math.Nextafter(1, 0), 7}, {1, 7}, {math.Inf(1), 7},
+	} {
+		if got := remBucket(c.frac, 8); got != c.want {
+			t.Errorf("remBucket(%v, 8) = %d, want %d", c.frac, got, c.want)
+		}
+	}
+	p := []float64{-0.3, 0.7, 0.6}
+	want := make([]int, len(p))
+	sortedApportionInto(want, p, 10, make([]remEntry, len(p)))
+	if got := Apportion(p, 10); !slices.Equal(got, want) {
+		t.Fatalf("Apportion(%v, 10) = %v, sort gives %v", p, got, want)
 	}
 }

@@ -335,12 +335,12 @@ func (g *Generator) compressedInto(dst []float64, layer int) {
 
 // genScratch is the working set of one layer synthesis: the compressed
 // base logits, the per-device perturbed logits/probabilities (in place)
-// and the apportion remainder entries. Parallel workers recycle instances
-// through genScratchPool; the serial path uses the generator's own.
+// and the apportion scratch. Parallel workers recycle instances through
+// genScratchPool; the serial path uses the generator's own.
 type genScratch struct {
 	base  []float64
 	probs []float64
-	rems  []remEntry
+	rem   remScratch
 }
 
 var genScratchPool = sync.Pool{New: func() interface{} { return new(genScratch) }}
@@ -349,11 +349,9 @@ func (sc *genScratch) resize(e int) {
 	if cap(sc.base) < e {
 		sc.base = make([]float64, e)
 		sc.probs = make([]float64, e)
-		sc.rems = make([]remEntry, e)
 	}
 	sc.base = sc.base[:e]
 	sc.probs = sc.probs[:e]
-	sc.rems = sc.rems[:e]
 }
 
 // sampleLayerInto converts the layer's popularity distribution into an
@@ -375,7 +373,7 @@ func (g *Generator) sampleLayerInto(m *RoutingMatrix, l int, sc *genScratch) *Ro
 			sc.probs[j] = sc.base[j] + rng.NormFloat64()*deviceNoise
 		}
 		softmaxInto(sc.probs, sc.probs)
-		apportionInto(m.R[i], sc.probs, perDevice, sc.rems)
+		apportionInto(m.R[i], sc.probs, perDevice, &sc.rem)
 	}
 	return m
 }
@@ -391,33 +389,42 @@ type remEntry struct {
 // the lower index, and remainder beyond len(p) lands on index 0).
 func Apportion(p []float64, total int) []int {
 	out := make([]int, len(p))
-	apportionInto(out, p, total, make([]remEntry, len(p)))
+	sc := remPool.Get().(*remScratch)
+	apportionInto(out, p, total, sc)
+	remPool.Put(sc)
 	return out
 }
 
+var remPool = sync.Pool{New: func() interface{} { return new(remScratch) }}
+
 // apportionInto is Apportion writing into out (len(p)) with caller-owned
-// remainder scratch (len(p)). The remainder is handed to the largest
+// scratch, which it sizes. The remainder is handed to the largest
 // fractional parts under (fraction desc, index asc) — a strict total order
 // (indices are unique), so the winning set is unique and selecting it by
-// deterministic quickselect (selectTopRems, O(E) average) is
-// output-identical to the historical full sort and to a repeated linear
-// scan with the same stable index tie-break.
-func apportionInto(out []int, p []float64, total int, rems []remEntry) {
+// counting select (selectTopRems, O(E)) is output-identical to the
+// historical full sort and to a repeated linear scan with the same stable
+// index tie-break.
+func apportionInto(out []int, p []float64, total int, sc *remScratch) {
 	n := len(p)
+	sc.resize(n)
+	rems, buckets := sc.rems, sc.buckets
+	clear(buckets)
 	assigned := 0
 	for j, pj := range p {
 		exact := pj * float64(total)
 		v := int(exact)
 		out[j] = v
 		assigned += v
-		rems[j] = remEntry{j, exact - float64(v)}
+		frac := exact - float64(v)
+		rems[j] = remEntry{j, frac}
+		buckets[remBucket(frac, len(buckets))]++
 	}
 	k := total - assigned
 	if k <= 0 {
 		return
 	}
 	if k < n {
-		selectTopRems(rems, k)
+		selectTopRems(rems, k, buckets)
 		for i := 0; i < k; i++ {
 			out[rems[i].idx]++
 		}

@@ -59,6 +59,9 @@ func (m *latencyMeter) record(batch *trace.RequestBatch, plans []executor.LayerP
 		if d == nil {
 			continue
 		}
+		if d.Traffic() {
+			panic("training: the latency meter reads single assignments, not a traffic-form dispatch")
+		}
 		if cap(m.drain) < n {
 			m.drain = make([]float64, n)
 		}

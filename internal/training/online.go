@@ -595,9 +595,14 @@ func RunOnline(cfg OnlineConfig) (*OnlineReport, error) {
 	// synthesis allocates nothing.
 	var routing []*trace.RoutingMatrix
 
-	// denv persists across layers and iterations so a policy's dispatch
-	// scratch (score-balance's reshaped matrix) is reused, not reallocated.
-	denv := DispatchEnv{Topo: topo, Capacity: arch.ExpertCapacity}
+	// One env per layer: the layers route concurrently, and each env's
+	// dispatch scratch (score-balance's reshaped matrix) persists across
+	// iterations, reused, not reallocated. Only the latency meter reads
+	// single assignments; an executed iteration needs traffic alone.
+	denvs := make([]DispatchEnv, layers)
+	for l := range denvs {
+		denvs[l] = DispatchEnv{Topo: topo, Capacity: arch.ExpertCapacity, Assignments: lat != nil}
+	}
 	spec := core.spec
 
 	for e := 0; e < cfg.Epochs; e++ {
@@ -675,19 +680,24 @@ func RunOnline(cfg OnlineConfig) (*OnlineReport, error) {
 				}
 			}
 			layouts := core.Layouts()
-			denv.Restored = core.StaticRestored()
-			for l := range plans {
-				// The policy's registered dispatch routes the layer: fixed
-				// EP owners for static (until a restore forces replica
-				// lookup), layout-based Alg. 3 for the replanning policies,
-				// least-loaded water-filling for LLEP, reshaped-then-routed
-				// for score-balance.
-				denv.Routing, denv.Layout = routing[l], layouts[l]
-				d, derr := spec.Dispatch(&denv)
-				if derr != nil {
-					return nil, derr
-				}
+			restored := core.StaticRestored()
+			// The policy's registered dispatch routes each layer, on the
+			// planner's worker budget: fixed EP owners for static (until a
+			// restore forces replica lookup), layout-based Alg. 3 for the
+			// replanning policies, least-loaded water-filling for LLEP,
+			// reshaped-then-routed for score-balance. A layer's dispatch
+			// reads only its own routing, layout and env, so the plans are
+			// the same at any Parallelism.
+			if derr := core.fanout(func(l int) error {
+				env := &denvs[l]
+				env.Routing, env.Layout, env.Restored = routing[l], layouts[l], restored
+				d, err := spec.Dispatch(env)
 				plans[l] = executor.LayerPlan{Layout: layouts[l], Dispatch: d}
+				return err
+			}); derr != nil {
+				return nil, derr
+			}
+			for l := range plans {
 				// Migration charges land on the critical path of the first
 				// iteration the new layout serves: the epoch's first
 				// iteration for boundary (predictive) replans, the second

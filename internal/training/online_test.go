@@ -5,8 +5,10 @@ import (
 	"runtime"
 	"testing"
 
+	"laermoe/internal/comm"
 	"laermoe/internal/forecast"
 	"laermoe/internal/model"
+	"laermoe/internal/planner"
 	"laermoe/internal/topology"
 	"laermoe/internal/trace"
 	"laermoe/session"
@@ -476,5 +478,86 @@ func TestNewOnlinePlannerHoldsOneLayout(t *testing.T) {
 	t.Logf("NewOnlinePlanner allocated %.1f MiB (one layout is %d MiB)", float64(got)/(1<<20), layout>>20)
 	if limit := layout * 3 / 2; got >= limit {
 		t.Errorf("NewOnlinePlanner allocated %.1f MiB, want under 1.5 layouts (%.0f MiB)", float64(got)/(1<<20), float64(limit)/(1<<20))
+	}
+}
+
+// TestRunOnlineAllocBytes bounds the bytes one RunOnline call allocates at
+// a small training shape (synthetic-e512 on 16x8 GPUs, two layers, eight
+// iterations): the lite-routing policies route traffic, not single
+// assignments, so an iteration allocates each layer's N x N pair counts
+// instead of an assignment slice. It reads 9 to 18 MiB (the high end with
+// cold pools); 42 to 44 MiB when every layer materialized its assignments.
+func TestRunOnlineAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are not pinned under the race detector")
+	}
+	arch := *model.SyntheticE512
+	arch.Layers = 2
+	cfg := OnlineConfig{
+		Policy: ReplanWarm, Arch: &arch, Topo: topology.New(16, 8),
+		Epochs: 2, IterationsPerEpoch: 4,
+		Drift:                trace.DriftConfig{Model: trace.DriftStabilizing},
+		ForceTokensPerDevice: 512, GlobalBatchTokens: 16 * 8 * 512,
+		Seed: 1, Parallelism: 1,
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := RunOnline(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("RunOnline allocated %.1f MiB", got)
+	if got > 24 {
+		t.Errorf("RunOnline allocated %.1f MiB, want at most 24 MiB", got)
+	}
+}
+
+// TestDispatchEnvRecyclesNoDispatch: routing a second layer through the
+// same env leaves the first layer's dispatch as a fresh env routes it, for
+// every policy and both forms, so a caller may hold one dispatch per layer
+// until the iteration runs.
+func TestDispatchEnvRecyclesNoDispatch(t *testing.T) {
+	topo := topology.New(2, 4)
+	gen, err := ObservationGenerator(trace.GeneratorConfig{
+		Devices: topo.N(), Experts: 16, Layers: 2, TokensPerDevice: 256, TopK: 2, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routing := gen.StepInto(nil)
+	layout, err := planner.StaticEP(16, topo.N(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	volume := func(d *planner.Dispatch) [][]float64 {
+		vol := comm.NewVolumeMatrix(topo.N())
+		d.FillVolumeMatrix(vol, 4096)
+		return vol.Bytes
+	}
+	for _, policy := range ReplanPolicies() {
+		spec, err := ResolvePolicy(policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, assignments := range []bool{false, true} {
+			route := func(env *DispatchEnv, r *trace.RoutingMatrix) *planner.Dispatch {
+				env.Routing, env.Layout = r, layout
+				d, err := spec.Dispatch(env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}
+			fresh := route(&DispatchEnv{Topo: topo, Capacity: 2, Assignments: assignments}, routing[0])
+			loads, vol := fresh.ReceivedLoads(), volume(fresh)
+			shared := DispatchEnv{Topo: topo, Capacity: 2, Assignments: assignments}
+			first := route(&shared, routing[0])
+			route(&shared, routing[1])
+			if !reflect.DeepEqual(first.ReceivedLoads(), loads) || !reflect.DeepEqual(volume(first), vol) {
+				t.Errorf("%s (assignments %v): routing a second layer through the env changed the first layer's dispatch", policy, assignments)
+			}
+		}
 	}
 }

@@ -19,9 +19,15 @@ import (
 // score-balance landed this way) registers in exactly one place.
 
 // DispatchEnv is the per-layer context a policy's dispatch function routes
-// one iteration's tokens with. The engine reuses one env across layers;
-// Scratch persists across calls for policies that reshape the routing
-// (score-balance) so steady-state dispatch stays allocation-free.
+// one iteration's tokens with. An env may serve one layer or, serially,
+// many; Scratch persists across calls for policies that reshape the
+// routing (score-balance), so steady-state reshaping stays
+// allocation-free. Concurrent calls need one env each, since they would
+// share Scratch.
+//
+// No dispatch is recycled through an env: each call returns a dispatch
+// that owns its memory (see planner.Dispatch), so a caller may route every
+// layer through one env and hold each result until the iteration runs.
 type DispatchEnv struct {
 	Routing  *trace.RoutingMatrix
 	Layout   *planner.Layout
@@ -31,6 +37,13 @@ type DispatchEnv struct {
 	// initial owner layout, after which even the static policy routes by
 	// layout.
 	Restored bool
+	// Assignments asks for the assignment form of the dispatch, for a
+	// consumer that reads single assignments (the inference latency
+	// meter). The zero value asks for traffic only: the lite-routing
+	// policies then return the traffic form, which is all an executed
+	// iteration reads. Policies whose router builds assignments anyway
+	// (static EP, LLEP) ignore it.
+	Assignments bool
 	// Scratch is a policy-owned routing matrix reused across dispatch
 	// calls (nil until first use).
 	Scratch *trace.RoutingMatrix
@@ -75,7 +88,16 @@ const (
 // liteDispatch is layout-based Alg. 3 routing, the replanning policies'
 // dispatch.
 func liteDispatch(env *DispatchEnv) (*planner.Dispatch, error) {
-	return planner.LiteRouting(env.Routing, env.Layout, env.Topo), nil
+	return liteRoute(env, env.Routing), nil
+}
+
+// liteRoute routes r by Alg. 3 on the env's layout, in the form the env
+// asks for.
+func liteRoute(env *DispatchEnv, r *trace.RoutingMatrix) *planner.Dispatch {
+	if env.Assignments {
+		return planner.LiteRouting(r, env.Layout, env.Topo)
+	}
+	return planner.LiteTraffic(r, env.Layout, env.Topo)
 }
 
 // policyRegistry is ordered: ReplanPolicies() and every "have %v" error
@@ -118,7 +140,7 @@ var policyRegistry = []PolicySpec{
 		Name: ReplanScoreBalance,
 		Dispatch: func(env *DispatchEnv) (*planner.Dispatch, error) {
 			env.Scratch = trace.ScoreBalanceInto(env.Scratch, env.Routing, trace.ScoreBalanceBlend)
-			return planner.LiteRouting(env.Scratch, env.Layout, env.Topo), nil
+			return liteRoute(env, env.Scratch), nil
 		},
 	},
 }

@@ -10,7 +10,7 @@ import (
 func TestSmokeE16K4(t *testing.T) {
 	topo := topology.Default()
 	for _, sys := range []System{SystemLAER, SystemFSDPEP, SystemMegatron, SystemFlexMoE} {
-		run, err := Run(RunConfig{
+		run, _, err := Run(RunConfig{
 			System: sys, Arch: model.Mixtral8x7BE16, Topo: topo,
 			Iterations: 6, Warmup: 2, Seed: 7,
 		})

@@ -18,7 +18,7 @@ func TestSmokeEndToEnd(t *testing.T) {
 	topo := topology.Default()
 	times := map[System]float64{}
 	for _, sys := range []System{SystemLAER, SystemFSDPEP, SystemMegatron, SystemFlexMoE} {
-		run, err := Run(RunConfig{
+		run, _, err := Run(RunConfig{
 			System:     sys,
 			Arch:       model.Mixtral8x7B,
 			Topo:       topo,

@@ -223,16 +223,17 @@ func newScheduler(cfg RunConfig, setup *Setup) (baselines.Scheduler, error) {
 }
 
 // Run simulates the configured number of iterations and returns the
-// aggregated report.
-func Run(cfg RunConfig) (*metrics.Run, error) {
+// aggregated report with the Setup it ran under, so a caller that reports
+// the batch shape does not resolve the memory plan a second time.
+func Run(cfg RunConfig) (*metrics.Run, *Setup, error) {
 	cfg = cfg.withDefaults()
 	setup, err := Prepare(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sched, err := newScheduler(cfg, setup)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	gen, err := trace.NewGenerator(trace.GeneratorConfig{
@@ -251,7 +252,7 @@ func Run(cfg RunConfig) (*metrics.Run, error) {
 		Parallelism: 1,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	run := &metrics.Run{
@@ -264,14 +265,14 @@ func Run(cfg RunConfig) (*metrics.Run, error) {
 		routing := gen.Step()
 		plans, perr := sched.Plan(routing)
 		if perr != nil {
-			return nil, perr
+			return nil, nil, perr
 		}
 		iter, rerr := executor.RunIteration(setup.ExecConfig, plans)
 		if rerr != nil {
-			return nil, rerr
+			return nil, nil, rerr
 		}
 		iter.PlannerTime = sched.PlannerTime()
 		run.Iterations = append(run.Iterations, *iter)
 	}
-	return run, nil
+	return run, setup, nil
 }

@@ -208,11 +208,7 @@ func Simulate(opts SimOptions) (*SimReport, error) {
 		Seed:                 opts.Seed,
 		ForceTokensPerDevice: opts.ForceTokensPerDevice,
 	}
-	setup, err := training.Prepare(cfg)
-	if err != nil {
-		return nil, err
-	}
-	run, err := training.Run(cfg)
+	run, setup, err := training.Run(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"laermoe/internal/model"
+	"laermoe/internal/training"
 )
 
 func TestClusterConstruction(t *testing.T) {
@@ -77,6 +80,34 @@ func TestSimulateLAERBeatsBaseline(t *testing.T) {
 	}
 	if laer.Breakdown["expert"] <= 0 || laer.Breakdown["a2a"] <= 0 {
 		t.Error("breakdown missing components")
+	}
+}
+
+// TestSimulateReportsRunSetup: Simulate reports the TP degree and
+// per-device tokens of the one Setup its run resolves, the values
+// training.Prepare fits for the same configuration, for a Megatron config
+// (TP > 1) and a LAER one.
+func TestSimulateReportsRunSetup(t *testing.T) {
+	arch, err := model.ByName("mixtral-8x7b-e8k2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range []string{SystemMegatron, SystemLAER} {
+		rep, err := Simulate(SimOptions{System: sys, Model: arch.Name, Iterations: 2, Warmup: 1, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		setup, err := training.Prepare(training.RunConfig{System: training.System(sys), Arch: arch, Topo: DefaultCluster().topo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys == SystemMegatron && setup.TPDegree < 2 {
+			t.Fatalf("megatron fits TP %d; the fixture needs TP > 1", setup.TPDegree)
+		}
+		if rep.TPDegree != setup.TPDegree || rep.TokensPerDevice != setup.TokensPerDev {
+			t.Errorf("%s: Simulate reports TP %d and %d tokens per device, Prepare fits TP %d and %d",
+				sys, rep.TPDegree, rep.TokensPerDevice, setup.TPDegree, setup.TokensPerDev)
+		}
 	}
 }
 
