@@ -61,7 +61,7 @@ fuzz:
 # The coverage gate (the CI coverage step runs it): every listed package
 # must cover at least 85% of its statements, or the target fails.
 cover:
-	@set -e; for pkg in ./internal/planner ./internal/trace ./internal/forecast ./internal/faults ./internal/serve ./internal/journal ./internal/training ./internal/sim ./internal/executor; do \
+	@set -e; for pkg in ./internal/planner ./internal/trace ./internal/forecast ./internal/faults ./internal/serve ./internal/journal ./internal/training ./internal/sim ./internal/executor ./internal/comm ./internal/baselines; do \
 		$(GO) test -coverprofile=cover.out "$$pkg"; \
 		pct=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \
 		echo "$$pkg total coverage: $${pct}%"; \

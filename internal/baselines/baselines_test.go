@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"slices"
 	"testing"
 
 	"laermoe/internal/model"
@@ -38,9 +39,8 @@ func newGen(t *testing.T, layers int, seed int64) *trace.Generator {
 }
 
 func imbalanceOf(d *planner.Dispatch) float64 {
-	loads := d.ReceivedLoads()
-	f := make([]float64, len(loads))
-	for i, v := range loads {
+	f := make([]float64, d.N)
+	for i, v := range d.Loads() {
 		f[i] = float64(v)
 	}
 	return stats.Imbalance(f)
@@ -133,6 +133,9 @@ func TestFlexMoEPenaltyBlocksMoves(t *testing.T) {
 	}
 }
 
+// TestFlexMoELayoutsStayValid: every layout keeps its capacity, and every
+// traffic-form dispatch carries the pair counts and loads of a valid
+// LiteRouting of the same (routing, layout).
 func TestFlexMoELayoutsStayValid(t *testing.T) {
 	topo := testTopo()
 	f, err := NewFlexMoE(topo, 2, testE, testC, testParams(), 1e-3)
@@ -150,8 +153,12 @@ func TestFlexMoELayoutsStayValid(t *testing.T) {
 			if err := p.Layout.Validate(testC, false); err != nil {
 				t.Fatalf("iter %d layer %d: %v", it, l, err)
 			}
-			if err := p.Dispatch.Validate(routing[l], p.Layout); err != nil {
+			lite := planner.LiteRouting(routing[l], p.Layout, topo)
+			if err := lite.Validate(routing[l], p.Layout); err != nil {
 				t.Fatalf("iter %d layer %d: %v", it, l, err)
+			}
+			if !slices.Equal(p.Dispatch.PairTokens(nil), lite.PairTokens(nil)) || !slices.Equal(p.Dispatch.Loads(), lite.Loads()) {
+				t.Fatalf("iter %d layer %d: the dispatch does not carry its lite routing's traffic", it, l)
 			}
 		}
 	}

@@ -72,7 +72,7 @@ func (f *FasterMoE) Plan(routing []*trace.RoutingMatrix) ([]executor.LayerPlan, 
 		}
 
 		layout := f.static.Clone()
-		d := &planner.Dispatch{N: r.N, E: r.E}
+		var as []planner.Assignment
 		for i := 0; i < r.N; i++ {
 			groupStart := (i / pep) * pep
 			for j := 0; j < r.E; j++ {
@@ -82,9 +82,9 @@ func (f *FasterMoE) Plan(routing []*trace.RoutingMatrix) ([]executor.LayerPlan, 
 				dst := groupStart + j/c
 				if hot[j] {
 					dst = i // shadowed: compute locally
-					layout.A[j][i] = maxInt(layout.A[j][i], 1)
+					layout.A[j][i] = max(layout.A[j][i], 1)
 				}
-				d.Assignments = append(d.Assignments, planner.Assignment{
+				as = append(as, planner.Assignment{
 					Src: i, Expert: j, Dst: dst, Tokens: r.R[i][j],
 				})
 			}
@@ -96,15 +96,8 @@ func (f *FasterMoE) Plan(routing []*trace.RoutingMatrix) ([]executor.LayerPlan, 
 		for range hot {
 			extra += f.comm.Broadcast(all, expertBytes) + f.comm.AllReduce(all, expertBytes)
 		}
-		plans[li] = executor.LayerPlan{Layout: layout, Dispatch: d, ExtraRelayoutTime: extra}
+		plans[li] = executor.LayerPlan{Layout: layout, Dispatch: planner.NewDispatch(r.N, r.E, as), ExtraRelayoutTime: extra}
 	}
 	f.plannerTime = time.Since(start).Seconds()
 	return plans, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

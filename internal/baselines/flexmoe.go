@@ -73,7 +73,7 @@ func (f *FlexMoE) Plan(routing []*trace.RoutingMatrix) ([]executor.LayerPlan, er
 	for l, r := range routing {
 		plans[l] = executor.LayerPlan{
 			Layout:   f.layouts[l],
-			Dispatch: planner.LiteRouting(r, f.layouts[l], f.Topo),
+			Dispatch: planner.LiteTraffic(r, f.layouts[l], f.Topo),
 		}
 		f.layouts[l] = f.adjust(f.layouts[l], r)
 	}
@@ -134,8 +134,7 @@ func (f *FlexMoE) adjust(cur *planner.Layout, r *trace.RoutingMatrix) *planner.L
 
 // deviceLoads estimates per-device load under the layout's lite routing.
 func deviceLoads(l *planner.Layout, r *trace.RoutingMatrix) []float64 {
-	d := planner.LiteRouting(r, l, topoForLayout(l))
-	loads := d.ReceivedLoads()
+	loads := planner.LiteTraffic(r, l, topoForLayout(l)).Loads()
 	out := make([]float64, len(loads))
 	for i, v := range loads {
 		out[i] = float64(v)

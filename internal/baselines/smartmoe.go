@@ -143,7 +143,7 @@ func (s *SmartMoE) layoutFor(layer, e, n int) *planner.Layout {
 func (s *SmartMoE) groupLocalRouting(r *trace.RoutingMatrix, layer int) *planner.Dispatch {
 	e := r.E
 	pep := e / s.C
-	d := &planner.Dispatch{N: r.N, E: e}
+	var as []planner.Assignment
 	for i := 0; i < r.N; i++ {
 		groupStart := (i / pep) * pep
 		for j := 0; j < e; j++ {
@@ -151,10 +151,10 @@ func (s *SmartMoE) groupLocalRouting(r *trace.RoutingMatrix, layer int) *planner
 				continue
 			}
 			owner := groupStart + s.assignments[layer][j]
-			d.Assignments = append(d.Assignments, planner.Assignment{
+			as = append(as, planner.Assignment{
 				Src: i, Expert: j, Dst: owner, Tokens: r.R[i][j],
 			})
 		}
 	}
-	return d
+	return planner.NewDispatch(r.N, e, as)
 }

@@ -17,42 +17,6 @@ import (
 	"laermoe/internal/topology"
 )
 
-// VolumeMatrix holds per-pair byte counts for an All-to-All style exchange:
-// Bytes[i][j] is sent from device i to device j.
-type VolumeMatrix struct {
-	N     int
-	Bytes [][]float64
-}
-
-// NewVolumeMatrix returns a zeroed N x N matrix. One slab backs every
-// row, so construction costs three allocations regardless of N.
-func NewVolumeMatrix(n int) *VolumeMatrix {
-	slab := make([]float64, n*n)
-	b := make([][]float64, n)
-	for i := range b {
-		b[i] = slab[i*n : (i+1)*n : (i+1)*n]
-	}
-	return &VolumeMatrix{N: n, Bytes: b}
-}
-
-// Add accumulates bytes from src to dst.
-func (v *VolumeMatrix) Add(src, dst int, bytes float64) {
-	v.Bytes[src][dst] += bytes
-}
-
-// Total returns the total bytes in the exchange (excluding self-sends).
-func (v *VolumeMatrix) Total() float64 {
-	t := 0.0
-	for i := 0; i < v.N; i++ {
-		for j := 0; j < v.N; j++ {
-			if i != j {
-				t += v.Bytes[i][j]
-			}
-		}
-	}
-	return t
-}
-
 // Model computes collective latencies over a topology.
 type Model struct {
 	Topo *topology.Topology
@@ -61,44 +25,38 @@ type Model struct {
 // New returns a communication model over the given topology.
 func New(t *topology.Topology) *Model { return &Model{Topo: t} }
 
-// AllToAll returns the completion time of an irregular All-to-All with the
-// given per-pair volumes. Per device, send time is the sum over
-// destinations of bytes/bw(i,k) (sends serialize on the NIC), and likewise
-// for receives; the collective finishes when the slowest device finishes
-// either side. Self-transfers (i==j) are local copies and ignored.
-func (m *Model) AllToAll(vol *VolumeMatrix) float64 {
-	if vol.N != m.Topo.N() {
-		panic(fmt.Sprintf("comm: volume matrix for %d devices on %d-device topology", vol.N, m.Topo.N()))
+// AllToAll returns the completion time of an irregular All-to-All that
+// moves counts[i*N+k] tokens of bytesPerToken bytes each from device i to
+// device k. Per device, send time is the sum over destinations of
+// bytes/bw(i,k) (sends serialize on the NIC), and likewise for receives;
+// the collective finishes when the slowest device finishes either side.
+// Self-transfers (i==k) are local copies and ignored.
+func (m *Model) AllToAll(counts []int32, bytesPerToken float64) float64 {
+	n := m.Topo.N()
+	if len(counts) != n*n {
+		panic(fmt.Sprintf("comm: %d pair counts on a %d-device topology", len(counts), n))
 	}
 	worst := 0.0
-	for i := 0; i < vol.N; i++ {
+	for i := 0; i < n; i++ {
 		var send, recv float64
 		msgs := 0
-		for k := 0; k < vol.N; k++ {
+		for k := 0; k < n; k++ {
 			if k == i {
 				continue
 			}
-			if vol.Bytes[i][k] > 0 {
-				send += vol.Bytes[i][k] / m.Topo.Bandwidth(i, k)
+			if c := counts[i*n+k]; c > 0 {
+				send += float64(c) * bytesPerToken / m.Topo.Bandwidth(i, k)
 				msgs++
 			}
-			if vol.Bytes[k][i] > 0 {
-				recv += vol.Bytes[k][i] / m.Topo.Bandwidth(k, i)
+			if c := counts[k*n+i]; c > 0 {
+				recv += float64(c) * bytesPerToken / m.Topo.Bandwidth(k, i)
 			}
 		}
-		t := send
-		if recv > t {
-			t = recv
-		}
+		t := max(send, recv)
 		if t > 0 {
 			t += m.Topo.Latency * float64(max(1, msgs))
 		}
-		if t > worst {
-			worst = t
-		}
-	}
-	if worst == 0 {
-		return 0
+		worst = max(worst, t)
 	}
 	return worst
 }
@@ -181,11 +139,4 @@ func (m *Model) P2P(i, j int, bytes float64) float64 {
 		return 0
 	}
 	return bytes/m.Topo.Bandwidth(i, j) + m.Topo.Latency
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

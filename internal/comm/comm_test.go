@@ -12,33 +12,44 @@ func modelAndTopo() (*Model, *topology.Topology) {
 	return New(topo), topo
 }
 
+// counts returns the row-major pair counts of an n-device exchange that
+// moves one token along each listed (src, dst) pair.
+func counts(n int, pairs ...[2]int) []int32 {
+	c := make([]int32, n*n)
+	for _, p := range pairs {
+		c[p[0]*n+p[1]]++
+	}
+	return c
+}
+
 func TestAllToAllZeroVolume(t *testing.T) {
 	m, topo := modelAndTopo()
-	if got := m.AllToAll(NewVolumeMatrix(topo.N())); got != 0 {
+	if got := m.AllToAll(counts(topo.N()), 1e9); got != 0 {
 		t.Errorf("empty All-to-All time = %g, want 0", got)
 	}
 }
 
 func TestAllToAllIgnoresSelfTransfers(t *testing.T) {
 	m, topo := modelAndTopo()
-	vol := NewVolumeMatrix(topo.N())
-	vol.Add(3, 3, 1e12) // local copy, no wire time
-	if got := m.AllToAll(vol); got != 0 {
+	self := counts(topo.N())
+	self[3*topo.N()+3] = 1 << 30 // local copy, no wire time
+	if got := m.AllToAll(self, 1e3); got != 0 {
 		t.Errorf("self-transfer costed %g, want 0", got)
 	}
-	if vol.Total() != 0 {
-		t.Errorf("Total counts self-transfers: %g", vol.Total())
+	// Nor does a self-transfer count as a message next to a real send.
+	one := counts(topo.N(), [2]int{3, 8})
+	both := counts(topo.N(), [2]int{3, 8}, [2]int{3, 3})
+	if a, b := m.AllToAll(one, 1e9), m.AllToAll(both, 1e9); math.Float64bits(a) != math.Float64bits(b) {
+		t.Errorf("a self-transfer moved the All-to-All from %v to %v", a, b)
 	}
 }
 
 func TestAllToAllLinkClasses(t *testing.T) {
 	m, topo := modelAndTopo()
 	bytes := 1e9
-	intra := NewVolumeMatrix(topo.N())
-	intra.Add(0, 1, bytes)
-	inter := NewVolumeMatrix(topo.N())
-	inter.Add(0, 8, bytes)
-	ti, tx := m.AllToAll(intra), m.AllToAll(inter)
+	intra := counts(topo.N(), [2]int{0, 1})
+	inter := counts(topo.N(), [2]int{0, 8})
+	ti, tx := m.AllToAll(intra, bytes), m.AllToAll(inter, bytes)
 	if ti >= tx {
 		t.Errorf("intra transfer (%g) not faster than inter (%g)", ti, tx)
 	}
@@ -46,16 +57,19 @@ func TestAllToAllLinkClasses(t *testing.T) {
 	if math.Abs(ti-wantIntra)/wantIntra > 1e-9 {
 		t.Errorf("intra time = %g, want %g", ti, wantIntra)
 	}
+	// A pair's bytes are its count times the token size: 4000 tokens of
+	// 250000 bytes price the same bits as one token of 1e9.
+	intra[1] = 4000
+	if got := m.AllToAll(intra, 250000); math.Float64bits(got) != math.Float64bits(ti) {
+		t.Errorf("4000 x 250000 bytes = %v, 1 x 1e9 bytes = %v", got, ti)
+	}
 }
 
 func TestAllToAllSerializesSends(t *testing.T) {
 	m, topo := modelAndTopo()
-	one := NewVolumeMatrix(topo.N())
-	one.Add(0, 8, 1e9)
-	two := NewVolumeMatrix(topo.N())
-	two.Add(0, 8, 1e9)
-	two.Add(0, 16, 1e9)
-	t1, t2 := m.AllToAll(one), m.AllToAll(two)
+	one := counts(topo.N(), [2]int{0, 8})
+	two := counts(topo.N(), [2]int{0, 8}, [2]int{0, 16})
+	t1, t2 := m.AllToAll(one, 1e9), m.AllToAll(two, 1e9)
 	if t2 < 1.9*t1-topo.Latency*4 {
 		t.Errorf("two sends (%g) should take ~2x one send (%g)", t2, t1)
 	}
@@ -64,15 +78,12 @@ func TestAllToAllSerializesSends(t *testing.T) {
 func TestAllToAllBottleneckDevice(t *testing.T) {
 	m, topo := modelAndTopo()
 	// Device 0 receives from everyone: completion is gated by its ingress.
-	vol := NewVolumeMatrix(topo.N())
+	incast, spread := counts(topo.N()), counts(topo.N())
 	for src := 1; src < topo.N(); src++ {
-		vol.Add(src, 0, 1e9)
+		incast[src*topo.N()]++
+		spread[src*topo.N()+(src+1)%topo.N()]++
 	}
-	spread := NewVolumeMatrix(topo.N())
-	for src := 1; src < topo.N(); src++ {
-		spread.Add(src, (src+1)%topo.N(), 1e9)
-	}
-	if m.AllToAll(vol) <= m.AllToAll(spread) {
+	if m.AllToAll(incast, 1e9) <= m.AllToAll(spread, 1e9) {
 		t.Error("incast pattern should be slower than spread pattern")
 	}
 }
@@ -161,5 +172,5 @@ func TestAllToAllDimensionMismatchPanics(t *testing.T) {
 			t.Error("dimension mismatch should panic")
 		}
 	}()
-	m.AllToAll(NewVolumeMatrix(4))
+	m.AllToAll(counts(4), 1)
 }

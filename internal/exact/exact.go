@@ -90,12 +90,13 @@ func Search(r *trace.RoutingMatrix, topo *topology.Topology, c int, params plann
 // RebalanceDispatch locally improves a dispatch under a fixed layout:
 // while the Eq. 2 cost decreases, it moves half of some assignment from
 // the most-loaded device to another replica of the same expert. The
-// result remains a valid dispatch (conservation holds by construction).
+// result remains a valid dispatch (conservation holds by construction);
+// it is d itself when no move lowers the cost.
 func RebalanceDispatch(d *planner.Dispatch, l *planner.Layout, topo *topology.Topology, params planner.CostParams, maxIters int) *planner.Dispatch {
-	cur := &planner.Dispatch{N: d.N, E: d.E, Assignments: append([]planner.Assignment(nil), d.Assignments...)}
+	cur := d
 	curCost := planner.TimeCost(cur, topo, params)
 	for iter := 0; iter < maxIters; iter++ {
-		loads := cur.ReceivedLoads()
+		loads := cur.Loads()
 		worst := 0
 		for dev, v := range loads {
 			if v > loads[worst] {
@@ -132,20 +133,20 @@ func RebalanceDispatch(d *planner.Dispatch, l *planner.Layout, topo *topology.To
 // applyMove returns a copy of d with `move` tokens of assignment idx
 // redirected to dst.
 func applyMove(d *planner.Dispatch, idx, dst, move int) *planner.Dispatch {
-	out := &planner.Dispatch{N: d.N, E: d.E, Assignments: make([]planner.Assignment, 0, len(d.Assignments)+1)}
+	out := make([]planner.Assignment, 0, len(d.Assignments)+1)
 	for i, a := range d.Assignments {
 		if i == idx {
 			a.Tokens -= move
 		}
 		if a.Tokens > 0 {
-			out.Assignments = append(out.Assignments, a)
+			out = append(out, a)
 		}
 	}
 	src := d.Assignments[idx]
-	out.Assignments = append(out.Assignments, planner.Assignment{
+	out = append(out, planner.Assignment{
 		Src: src.Src, Expert: src.Expert, Dst: dst, Tokens: move,
 	})
-	return out
+	return planner.NewDispatch(d.N, d.E, out)
 }
 
 // combinations enumerates all c-element subsets of {0..e-1}.

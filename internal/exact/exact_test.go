@@ -89,9 +89,9 @@ func TestRebalanceDispatchImproves(t *testing.T) {
 	r := trace.NewRoutingMatrix(4, 1)
 	r.R[0][0] = 1000
 	// All tokens on one replica.
-	unbalanced := &planner.Dispatch{N: 4, E: 1, Assignments: []planner.Assignment{
+	unbalanced := planner.NewDispatch(4, 1, []planner.Assignment{
 		{Src: 0, Expert: 0, Dst: 0, Tokens: 1000},
-	}}
+	})
 	before := planner.TimeCost(unbalanced, topo, smallParams())
 	refined := RebalanceDispatch(unbalanced, layout, topo, smallParams(), 64)
 	after := planner.TimeCost(refined, topo, smallParams())
@@ -101,7 +101,7 @@ func TestRebalanceDispatchImproves(t *testing.T) {
 	if err := refined.Validate(r, layout); err != nil {
 		t.Errorf("refined dispatch invalid: %v", err)
 	}
-	loads := refined.ReceivedLoads()
+	loads := refined.Loads()
 	maxLoad := 0
 	for _, v := range loads {
 		if v > maxLoad {

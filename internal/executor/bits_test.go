@@ -31,9 +31,9 @@ func liteLayout() *planner.Layout {
 	return l
 }
 
-// litePlans routes the same generated traffic as tinyPlans through the
-// lite router over liteLayout.
-func litePlans(t *testing.T, topo *topology.Topology, seed int64) []LayerPlan {
+// litePlans routes the same generated traffic as tinyPlans through a lite
+// router (LiteRouting or LiteTraffic) over liteLayout.
+func litePlans(t *testing.T, topo *topology.Topology, seed int64, route func(*trace.RoutingMatrix, *planner.Layout, *topology.Topology) *planner.Dispatch) []LayerPlan {
 	t.Helper()
 	gen, err := trace.NewGenerator(trace.GeneratorConfig{
 		Devices: topo.N(), Experts: tinyArch.Experts, Layers: tinyArch.Layers,
@@ -45,7 +45,7 @@ func litePlans(t *testing.T, topo *topology.Topology, seed int64) []LayerPlan {
 	layout := liteLayout()
 	plans := make([]LayerPlan, tinyArch.Layers)
 	for l, r := range gen.Step() {
-		plans[l] = LayerPlan{Layout: layout, Dispatch: planner.LiteRouting(r, layout, topo)}
+		plans[l] = LayerPlan{Layout: layout, Dispatch: route(r, layout, topo)}
 	}
 	return plans
 }
@@ -54,6 +54,9 @@ type pinCase struct {
 	name  string
 	cfg   Config
 	plans []LayerPlan
+	// traffic holds a lite case's plans routed by LiteTraffic (nil for
+	// the EP cases): the same iteration, which must give the same bits.
+	traffic []LayerPlan
 }
 
 // pinCases spans the three paradigms, one and three micro-batches, no and
@@ -65,7 +68,8 @@ func pinCases(t *testing.T) []pinCase {
 	if err := slow.SetSlowdown(3, 2.0); err != nil {
 		t.Fatal(err)
 	}
-	plans := map[string][]LayerPlan{"ep": tinyPlans(t, topo, 21), "lite": litePlans(t, topo, 21)}
+	plans := map[string][]LayerPlan{"ep": tinyPlans(t, topo, 21), "lite": litePlans(t, topo, 21, planner.LiteRouting)}
+	traffic := map[string][]LayerPlan{"lite": litePlans(t, topo, 21, planner.LiteTraffic)}
 	var out []pinCase
 	for _, routing := range []string{"ep", "lite"} {
 		for _, p := range []Paradigm{ParadigmFSEP, ParadigmFSDPEP, ParadigmResident} {
@@ -76,15 +80,15 @@ func pinCases(t *testing.T) []pinCase {
 				}{{"none", CommOpts{}}, {"all", AllCommOpts()}} {
 					cfg := tinyConfig(topo)
 					cfg.Paradigm, cfg.MicroBatches, cfg.Comm = p, mb, opts.comm
-					out = append(out, pinCase{fmt.Sprintf("%s/%s/mb%d/%s", routing, p, mb, opts.name), cfg, plans[routing]})
+					out = append(out, pinCase{fmt.Sprintf("%s/%s/mb%d/%s", routing, p, mb, opts.name), cfg, plans[routing], traffic[routing]})
 				}
 			}
 		}
 		straggler := tinyConfig(slow)
-		out = append(out, pinCase{routing + "/straggler", straggler, plans[routing]})
+		out = append(out, pinCase{routing + "/straggler", straggler, plans[routing], traffic[routing]})
 		tp := tinyConfig(topo)
 		tp.Paradigm, tp.TPDegree = ParadigmResident, 4
-		out = append(out, pinCase{routing + "/resident-tp4", tp, plans[routing]})
+		out = append(out, pinCase{routing + "/resident-tp4", tp, plans[routing], traffic[routing]})
 	}
 	return out
 }
@@ -105,7 +109,8 @@ func iterationFields(it *metrics.Iteration) ([]string, []float64) {
 // float64 bits of the makespan, of every Breakdown category and of every
 // per-layer imbalance, for each pinCase. The goldens print three
 // significant figures and cannot see a low-order bit move; this table
-// can. Regenerate with -update only for an intended timing-model change.
+// can. Each lite case must also give the same bits from its traffic-form
+// plans. Regenerate with -update only for an intended timing-model change.
 func TestRunIterationBitPin(t *testing.T) {
 	var b strings.Builder
 	for _, c := range pinCases(t) {
@@ -119,6 +124,19 @@ func TestRunIterationBitPin(t *testing.T) {
 			fmt.Fprintf(&b, " %s=%016x", names[i], math.Float64bits(v))
 		}
 		b.WriteByte('\n')
+		if c.traffic == nil {
+			continue
+		}
+		tr, err := RunIteration(c.cfg, c.traffic)
+		if err != nil {
+			t.Fatalf("%s (traffic): %v", c.name, err)
+		}
+		_, tvals := iterationFields(tr)
+		for i, v := range tvals {
+			if math.Float64bits(v) != math.Float64bits(vals[i]) {
+				t.Errorf("%s: %s is %016x from assignments, %016x from traffic", c.name, names[i], math.Float64bits(vals[i]), math.Float64bits(v))
+			}
+		}
 	}
 	path := filepath.Join("testdata", "iteration_bits.txt")
 	if *update {

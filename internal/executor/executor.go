@@ -168,6 +168,13 @@ func RunIteration(cfg Config, layers []LayerPlan) (*metrics.Iteration, error) {
 	if len(layers) != cfg.Arch.Layers {
 		return nil, fmt.Errorf("executor: %d layer plans for %d layers", len(layers), cfg.Arch.Layers)
 	}
+	for l, lp := range layers {
+		// A Dispatch literal carries no loads; the routers and
+		// planner.NewDispatch always set them.
+		if got := len(lp.Dispatch.Loads()); got != cfg.Topo.N() {
+			return nil, fmt.Errorf("executor: layer %d dispatch has loads for %d devices, topology has %d (build it with planner.NewDispatch)", l, got, cfg.Topo.N())
+		}
+	}
 	b := newBuilder(cfg)
 	b.prepare(layers)
 	for mb := 0; mb < cfg.MicroBatches; mb++ {
@@ -196,10 +203,8 @@ func RunIteration(cfg Config, layers []LayerPlan) (*metrics.Iteration, error) {
 // reference spreads the tokens over the surviving cluster only.
 func perLayerImbalance(layers []LayerPlan, n int) []float64 {
 	out := make([]float64, len(layers))
-	var buf []int
 	for l, lp := range layers {
-		buf = lp.Dispatch.AppendReceivedLoads(buf[:0])
-		out[l] = planner.LoadImbalance(buf, n)
+		out[l] = planner.LoadImbalance(lp.Dispatch.Loads(), n)
 	}
 	return out
 }
@@ -227,14 +232,14 @@ type builder struct {
 	peReady, paReady  []sim.TaskID
 	nextPE            []sim.TaskID
 	times             []float64
-	loads             []int
 
 	// Per-layer state no micro-batch changes, computed once per iteration
 	// by prepare: the base token All-to-All time (the four exchanges of a
-	// micro-batch differ only by a2aFactor), priced from one scan of the
-	// dispatch into the reused volume matrix vol.
-	vol *comm.VolumeMatrix
-	a2a []float64
+	// micro-batch differ only by a2aFactor). pairs is the scratch an
+	// assignment-form dispatch sums its pair counts into; a traffic-form
+	// dispatch hands over its own.
+	pairs []int32
+	a2a   []float64
 }
 
 func newBuilder(cfg Config) *builder {
@@ -259,7 +264,6 @@ func newBuilder(cfg Config) *builder {
 		peReady: make([]sim.TaskID, n),
 		paReady: make([]sim.TaskID, n),
 		nextPE:  make([]sim.TaskID, n),
-		vol:     comm.NewVolumeMatrix(n),
 	}
 	for i := range b.lastS1 {
 		b.lastS1[i] = sim.NoTask
@@ -429,14 +433,18 @@ func (b *builder) nonExpertGradSyncTime() float64 {
 }
 
 // prepare computes the per-layer state of the iteration: each layer's
-// base token All-to-All time, from one scan of its dispatch into the
-// builder's volume matrix.
+// base token All-to-All time, priced from its per-(src, dst) token
+// counts. Every byte is an integer count times the integer TokenBytes,
+// exact in float64, so both dispatch forms price the same bits.
 func (b *builder) prepare(layers []LayerPlan) {
 	b.a2a = make([]float64, len(layers))
 	tokenBytes := b.cm.TokenCommBytes()
 	for l, lp := range layers {
-		lp.Dispatch.FillVolumeMatrix(b.vol, tokenBytes)
-		b.a2a[l] = b.comm.AllToAll(b.vol)
+		counts := lp.Dispatch.PairTokens(b.pairs)
+		if !lp.Dispatch.Traffic() {
+			b.pairs = counts
+		}
+		b.a2a[l] = b.comm.AllToAll(counts, tokenBytes)
 	}
 }
 
@@ -449,8 +457,6 @@ func (b *builder) dispatchDuration(l int, backward bool) float64 {
 // expertTime returns per-device expert compute durations for one layer,
 // in a buffer reused across calls.
 func (b *builder) expertTimes(lp LayerPlan, backward bool) []float64 {
-	b.loads = lp.Dispatch.AppendReceivedLoads(b.loads[:0])
-	loads := b.loads
 	if b.times == nil {
 		b.times = make([]float64, b.n)
 	}
@@ -462,7 +468,7 @@ func (b *builder) expertTimes(lp LayerPlan, backward bool) []float64 {
 			factor += 1 // recompute forward
 		}
 	}
-	for dev, l := range loads {
+	for dev, l := range lp.Dispatch.Loads() {
 		out[dev] = b.cm.ExpertComputeTime(dev, l) * factor
 	}
 	return out

@@ -270,6 +270,14 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := RunIteration(neg, tinyPlans(t, topo, 12)); err == nil {
 		t.Error("zero tokens accepted")
 	}
+	// A Dispatch literal has no loads: priced, every expert would take the
+	// previous layer's compute time.
+	literal := tinyPlans(t, topo, 13)
+	d := literal[1].Dispatch
+	literal[1].Dispatch = &planner.Dispatch{N: d.N, E: d.E, Assignments: d.Assignments}
+	if _, err := RunIteration(tinyConfig(topo), literal); err == nil {
+		t.Error("dispatch without loads accepted")
+	}
 }
 
 func TestParadigmString(t *testing.T) {

@@ -48,9 +48,8 @@ func CommCost(d *Dispatch, topo *topology.Topology, p CostParams) float64 {
 // CompCost returns T_comp (Eq. 2): (3 + F_ckpt) times the forward compute
 // time of the most loaded device.
 func CompCost(d *Dispatch, topo *topology.Topology, p CostParams) float64 {
-	loads := d.ReceivedLoads()
 	worst := 0.0
-	for dev, l := range loads {
+	for dev, l := range d.Loads() {
 		t := float64(l) * p.ExpertFLOPsPerToken / p.FLOPS * topo.ComputeFactor(dev)
 		if t > worst {
 			worst = t

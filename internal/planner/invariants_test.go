@@ -83,12 +83,13 @@ func checkSolution(t *testing.T, rc randomCase, r *trace.RoutingMatrix, sol *Sol
 	}
 	// Token conservation: the dispatch moves exactly the routed tokens to
 	// devices that host the target expert.
-	if err := sol.Dispatch().Validate(r, sol.Layout); err != nil {
+	d := LiteRouting(r, sol.Layout, rc.topo)
+	if err := d.Validate(r, sol.Layout); err != nil {
 		t.Fatalf("%s: dispatch invariant violated: %v", label, err)
 	}
 	// Cost consistency: incremental streaming evaluation == from-scratch
 	// evaluation of the same layout, bit for bit.
-	if got := TimeCost(sol.Dispatch(), rc.topo, testParams()); got != sol.Cost() {
+	if got := TimeCost(d, rc.topo, testParams()); got != sol.Cost() {
 		t.Fatalf("%s: streamed cost %g != from-scratch cost %g", label, sol.Cost(), got)
 	}
 }

@@ -55,9 +55,10 @@ func New(topo *topology.Topology, layers, e, c int, params CostParams, opts Solv
 func (p *Planner) Layout(layer int) *Layout { return p.layouts[layer] }
 
 // Dispatch runs the synchronous token dispatcher for a layer's observed
-// routing against the layout currently in force.
+// routing against the layout currently in force, in the traffic form: the
+// executor reads nothing else.
 func (p *Planner) Dispatch(layer int, r *trace.RoutingMatrix) *Dispatch {
-	return LiteRouting(r, p.layouts[layer], p.solver.Topo)
+	return LiteTraffic(r, p.layouts[layer], p.solver.Topo)
 }
 
 // Observe folds the observed routing of one layer into its history and

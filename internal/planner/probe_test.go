@@ -27,20 +27,11 @@ func TestProbeSolverBalance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loads := sol.Dispatch().ReceivedLoads()
-		f := make([]float64, len(loads))
-		for k, v := range loads {
-			f[k] = float64(v)
-		}
+		d := LiteTraffic(r, sol.Layout, topo)
 		static, _ := EPRouting(r, 2)
-		sloads := static.ReceivedLoads()
-		sf := make([]float64, len(sloads))
-		for k, v := range sloads {
-			sf[k] = float64(v)
-		}
 		reps := sol.Layout.ReplicaVector()
 		t.Logf("iter %d: solver imbalance %.3f (static %.3f), reps=%v, cross-node %.1f%%",
-			i, stats.Imbalance(f), stats.Imbalance(sf), reps,
-			100*float64(sol.Dispatch().CrossNodeTokens(topo))/float64(r.Total()))
+			i, stats.Imbalance(loadsOf(d)), stats.Imbalance(loadsOf(static)), reps,
+			100*float64(d.CrossNodeTokens(topo))/float64(r.Total()))
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"laermoe/internal/comm"
 	"laermoe/internal/topology"
 	"laermoe/internal/trace"
 )
@@ -21,32 +20,41 @@ type Assignment struct {
 	Tokens int
 }
 
-// Dispatch is one layer's token routing strategy S[i][j][k], in one of
-// two forms.
+// Dispatch is one layer's token routing strategy S[i][j][k]. Every
+// dispatch carries, from construction, the tokens each device receives
+// (Loads): the routers tally them during their walk, and NewDispatch
+// tallies hand-built assignments; a Dispatch literal has no loads, and
+// the executor rejects it. It comes in one of two forms.
 //
-// The assignment form lists the single assignments (Assignments). Every
-// router but LiteTraffic builds it, and the consumers that read one
-// (src, expert, dst) block at a time need it: Validate, CommCost, the
-// inference latency meter, the exact oracle and the baselines.
+// The assignment form lists the single assignments (Assignments).
+// LiteRouting, LeastLoadedRouting, EPRouting, NaiveReplicaRouting and
+// NewDispatch build it, for the consumers that read one (src, expert,
+// dst) block at a time: Validate, CommCost, the inference latency meter,
+// Table 3's timing, the exact oracle and the baselines that place tokens
+// by hand (static EP, FasterMoE, SmartMoE).
 //
-// The traffic form (LiteTraffic) keeps only what the executor prices a
-// layer by: the per-device received tokens and the per-(src, dst) token
-// counts. It has no Assignments. ReceivedLoads, AppendReceivedLoads,
-// CrossNodeTokens and FillVolumeMatrix answer from the counts with the
-// values the assignment form gives; Validate and CommCost reject it. Pair
-// counts come only from the traffic walk: an N x N slab per layer is
-// 64 MiB at N=4096, too much to add to every assignment-form dispatch.
+// The traffic form (LiteTraffic) keeps only the loads and the
+// per-(src, dst) token counts; it has no Assignments, and Validate and
+// CommCost reject it. Consumers that read only traffic route with it:
+// the training iteration path, the classic LAER scheduler, FlexMoE and
+// PlanLayout.
 //
-// A dispatch owns its memory. No router hands out a buffer it reuses
-// later, so a caller may hold any number of dispatches at once, such as
-// one per layer until the iteration executes.
+// PairTokens returns the per-(src, dst) counts in either form, which is
+// all the executor prices a layer's All-to-All by. Only the traffic walk
+// stores them: an N x N slab per layer is 64 MiB at N=4096, too much to
+// add to every assignment-form dispatch, so PairTokens sums those into a
+// caller's buffer.
+//
+// A dispatch owns its memory and is read-only once built: callers must
+// not modify its Assignments, Loads or traffic-form pair counts. No
+// router hands out a buffer it reuses later, so a caller may hold any
+// number of dispatches at once, such as one per layer until the
+// iteration executes.
 type Dispatch struct {
 	N, E        int
 	Assignments []Assignment
 
-	// loads caches the per-device received token counts when the dispatch
-	// was produced by one of the package's routers, saving the
-	// O(assignments) recomputation on the executor's per-layer queries.
+	// loads holds the per-device received token counts.
 	loads []int
 	// pairs holds the traffic form's token counts, row-major by source:
 	// pairs[src*N+dst] tokens move from src to dst. nil in the assignment
@@ -54,99 +62,68 @@ type Dispatch struct {
 	pairs []int32
 }
 
+// NewDispatch returns the assignment-form dispatch of hand-built
+// assignments over n devices and e experts, with its loads tallied. The
+// dispatch takes ownership of the slice.
+func NewDispatch(n, e int, assignments []Assignment) *Dispatch {
+	loads := make([]int, n)
+	for _, a := range assignments {
+		loads[a.Dst] += a.Tokens
+	}
+	return &Dispatch{N: n, E: e, Assignments: assignments, loads: loads}
+}
+
 // Traffic reports whether d is in the traffic form: pair counts and
 // received loads, no Assignments.
 func (d *Dispatch) Traffic() bool { return d.pairs != nil }
 
-// ReceivedLoads returns, per device, the number of assignments it computes
-// (Σ_{k,j} S[k][j][i] — the per-device expert workload).
-func (d *Dispatch) ReceivedLoads() []int {
-	out := make([]int, d.N)
-	if d.loads != nil {
-		copy(out, d.loads)
-		return out
-	}
-	for _, a := range d.Assignments {
-		out[a.Dst] += a.Tokens
-	}
-	return out
-}
+// Loads returns, per device, the tokens it computes (Σ_{k,j} S[k][j][i],
+// the per-device expert workload). The slice is the dispatch's own: read
+// it, do not modify it.
+func (d *Dispatch) Loads() []int { return d.loads }
 
-// AppendReceivedLoads appends the per-device received token counts to
-// dst (which may be nil, or a truncated buffer whose capacity is reused)
-// and returns it — the non-allocating variant of ReceivedLoads for
-// per-layer hot paths.
-func (d *Dispatch) AppendReceivedLoads(dst []int) []int {
-	if d.loads != nil {
-		return append(dst, d.loads...)
-	}
-	start := len(dst)
-	for i := 0; i < d.N; i++ {
-		dst = append(dst, 0)
-	}
-	out := dst[start:]
-	for _, a := range d.Assignments {
-		out[a.Dst] += a.Tokens
-	}
-	return dst
-}
-
-// cacheLoads computes and stores the received-load cache.
-func (d *Dispatch) cacheLoads() {
-	loads := make([]int, d.N)
-	for _, a := range d.Assignments {
-		loads[a.Dst] += a.Tokens
-	}
-	d.loads = loads
-}
-
-// FillVolumeMatrix overwrites vol, an N x N matrix the caller reuses
-// across dispatches, with the dispatch's All-to-All byte volumes at
-// tokenBytes per assignment. Local assignments (Src==Dst) move no bytes.
-// Both forms fill the same bits for an integer tokenBytes: every product
-// and partial sum is an integer below 2^53, so summing a pair's
-// assignments one by one is exact and equals its count times tokenBytes.
-func (d *Dispatch) FillVolumeMatrix(vol *comm.VolumeMatrix, tokenBytes float64) {
-	if vol.N != d.N {
-		panic(fmt.Sprintf("planner: %d-device volume matrix for a %d-device dispatch", vol.N, d.N))
-	}
-	for _, row := range vol.Bytes {
-		clear(row)
-	}
+// PairTokens returns the per-(src, dst) token counts, row-major by
+// source: [src*N+dst] tokens move from src to dst, local ones included.
+// The traffic form returns its own counts, read-only, and leaves buf
+// alone. The assignment form sums its assignments into buf, reallocating
+// it when its capacity is below N*N, and returns it. Either way the
+// counts are exact: it panics, as LiteTraffic does, when a device
+// receives more tokens than an int32 holds.
+func (d *Dispatch) PairTokens(buf []int32) []int32 {
 	if d.pairs != nil {
-		for src, row := range vol.Bytes {
-			for dst, c := range d.pairs[src*d.N : (src+1)*d.N] {
-				if c != 0 && dst != src {
-					row[dst] = float64(c) * tokenBytes
-				}
-			}
-		}
-		return
+		return d.pairs
 	}
+	checkPairRange(d.loads)
+	n := d.N
+	if cap(buf) < n*n {
+		buf = make([]int32, n*n)
+	}
+	buf = buf[:n*n]
+	clear(buf)
 	for _, a := range d.Assignments {
-		if a.Src != a.Dst {
-			vol.Add(a.Src, a.Dst, float64(a.Tokens)*tokenBytes)
+		buf[a.Src*n+a.Dst] += int32(a.Tokens)
+	}
+	return buf
+}
+
+// checkPairRange panics when a device receives more tokens than an int32
+// pair count holds. A pair's count never exceeds its destination's load,
+// so in-range loads mean no count wraps.
+func checkPairRange(loads []int) {
+	for dst, v := range loads {
+		if v > math.MaxInt32 {
+			panic(fmt.Sprintf("planner: device %d receives %d tokens, past int32 pair counts", dst, v))
 		}
 	}
 }
 
-// CrossNodeTokens returns the number of assignments that cross a node
-// boundary — the quantity lite routing minimizes.
+// CrossNodeTokens returns the number of tokens that cross a node
+// boundary, the quantity lite routing minimizes.
 func (d *Dispatch) CrossNodeTokens(topo *topology.Topology) int {
 	n := 0
-	if d.pairs != nil {
-		for src := 0; src < d.N; src++ {
-			for dst, c := range d.pairs[src*d.N : (src+1)*d.N] {
-				if !topo.SameNode(src, dst) {
-					n += int(c)
-				}
-			}
-		}
-		return n
-	}
-	for _, a := range d.Assignments {
-		if !topo.SameNode(a.Src, a.Dst) {
-			n += a.Tokens
+	for i, c := range d.PairTokens(nil) {
+		if !topo.SameNode(i/d.N, i%d.N) {
+			n += int(c)
 		}
 	}
 	return n
@@ -372,13 +349,7 @@ func LiteTraffic(r *trace.RoutingMatrix, l *Layout, topo *topology.Topology) *Di
 		pairs[src*n+dst] += int32(tokens)
 	})
 	routePool.Put(sc)
-	// A pair's count never exceeds its destination's load, so in-range
-	// loads mean no count wrapped.
-	for dst, v := range loads {
-		if v > math.MaxInt32 {
-			panic(fmt.Sprintf("planner: device %d receives %d tokens, past the traffic form's int32 counts", dst, v))
-		}
-	}
+	checkPairRange(loads)
 	return d
 }
 
@@ -441,7 +412,7 @@ func EPRouting(r *trace.RoutingMatrix, c int) (*Dispatch, error) {
 	if r.N%pep != 0 {
 		return nil, fmt.Errorf("planner: device count %d not divisible by EP size %d", r.N, pep)
 	}
-	d := &Dispatch{N: r.N, E: r.E}
+	var as []Assignment
 	for i := 0; i < r.N; i++ {
 		groupStart := (i / pep) * pep
 		for j := 0; j < r.E; j++ {
@@ -449,18 +420,17 @@ func EPRouting(r *trace.RoutingMatrix, c int) (*Dispatch, error) {
 				continue
 			}
 			owner := groupStart + j/c
-			d.Assignments = append(d.Assignments, Assignment{Src: i, Expert: j, Dst: owner, Tokens: r.R[i][j]})
+			as = append(as, Assignment{Src: i, Expert: j, Dst: owner, Tokens: r.R[i][j]})
 		}
 	}
-	d.cacheLoads()
-	return d, nil
+	return NewDispatch(r.N, r.E, as), nil
 }
 
 // NaiveReplicaRouting routes every token to the first replica of its
 // expert (lowest device index) — the strawman the lite router is compared
 // against in tests and benches.
 func NaiveReplicaRouting(r *trace.RoutingMatrix, l *Layout) *Dispatch {
-	d := &Dispatch{N: r.N, E: r.E}
+	var as []Assignment
 	for i := 0; i < r.N; i++ {
 		for j := 0; j < r.E; j++ {
 			if r.R[i][j] == 0 {
@@ -468,9 +438,8 @@ func NaiveReplicaRouting(r *trace.RoutingMatrix, l *Layout) *Dispatch {
 			}
 			devs := l.ReplicaDevices(j)
 			sort.Ints(devs)
-			d.Assignments = append(d.Assignments, Assignment{Src: i, Expert: j, Dst: devs[0], Tokens: r.R[i][j]})
+			as = append(as, Assignment{Src: i, Expert: j, Dst: devs[0], Tokens: r.R[i][j]})
 		}
 	}
-	d.cacheLoads()
-	return d
+	return NewDispatch(r.N, r.E, as)
 }

@@ -61,11 +61,11 @@ func TestLeastLoadedRoutingBalances(t *testing.T) {
 		}
 		return m
 	}
-	llepMax, liteMax := maxOf(llep.ReceivedLoads()), maxOf(lite.ReceivedLoads())
+	llepMax, liteMax := maxOf(llep.Loads()), maxOf(lite.Loads())
 	if llepMax >= liteMax {
 		t.Errorf("least-loaded max load %d not below lite's %d on overlapping replica sets", llepMax, liteMax)
 	}
-	if got := llep.ReceivedLoads(); got[1] != 75 || got[2] != 75 {
+	if got := llep.Loads(); got[1] != 75 || got[2] != 75 {
 		t.Errorf("water-fill loads = %v, want the shared and idle device leveled at 75", got)
 	}
 }
@@ -113,8 +113,8 @@ func TestLeastLoadedRoutingLoadsCache(t *testing.T) {
 	for _, a := range d.Assignments {
 		manual[a.Dst] += a.Tokens
 	}
-	if !reflect.DeepEqual(d.ReceivedLoads(), manual) {
-		t.Errorf("cached loads %v != recomputed %v", d.ReceivedLoads(), manual)
+	if !reflect.DeepEqual(d.Loads(), manual) {
+		t.Errorf("cached loads %v != recomputed %v", d.Loads(), manual)
 	}
 }
 

@@ -67,7 +67,7 @@ func TestLiteRoutingFallsBackToGlobal(t *testing.T) {
 	layout.A[0][2], layout.A[0][3] = 1, 1 // both replicas on node 1
 	r := matrixFrom([][]int{{100}, {0}, {0}, {0}})
 	d := LiteRouting(r, layout, topo)
-	loads := d.ReceivedLoads()
+	loads := d.Loads()
 	if loads[2] != 50 || loads[3] != 50 {
 		t.Errorf("global fallback split = %v, want 50/50 on devices 2,3", loads)
 	}
@@ -81,7 +81,7 @@ func TestLiteRoutingEvenSplit(t *testing.T) {
 	layout.A[0][0], layout.A[0][1], layout.A[0][2] = 1, 1, 1
 	r := matrixFrom([][]int{{100}, {0}, {0}, {0}})
 	d := LiteRouting(r, layout, topo)
-	loads := d.ReceivedLoads()
+	loads := d.Loads()
 	for dev := 0; dev < 3; dev++ {
 		if loads[dev] < 33 || loads[dev] > 34 {
 			t.Errorf("device %d load %d, want 33 or 34", dev, loads[dev])
@@ -159,7 +159,7 @@ func TestLiteImbalanceMatchesDispatch(t *testing.T) {
 				layout.A[j][j%n] = 1
 			}
 		}
-		loads := LiteRouting(r, layout, topo).ReceivedLoads()
+		loads := LiteRouting(r, layout, topo).Loads()
 		sum, maxLoad := 0.0, loads[0]
 		for _, v := range loads {
 			sum += float64(v)
@@ -224,40 +224,46 @@ func TestNaiveReplicaRouting(t *testing.T) {
 	layout.A[0][1], layout.A[0][3] = 1, 1
 	r := matrixFrom([][]int{{10}, {10}, {10}, {10}})
 	d := NaiveReplicaRouting(r, layout)
-	loads := d.ReceivedLoads()
+	loads := d.Loads()
 	if loads[1] != 40 || loads[3] != 0 {
 		t.Errorf("naive routing loads = %v, want all 40 on device 1", loads)
 	}
 	// Lite routing spreads the same workload.
 	lite := LiteRouting(r, layout, topo)
-	ll := lite.ReceivedLoads()
+	ll := lite.Loads()
 	if ll[1] != 20 || ll[3] != 20 {
 		t.Errorf("lite routing loads = %v, want 20/20", ll)
 	}
 }
 
 func TestDispatchHelpers(t *testing.T) {
-	d := &Dispatch{N: 2, E: 1, Assignments: []Assignment{
+	d := NewDispatch(2, 1, []Assignment{
 		{Src: 0, Expert: 0, Dst: 1, Tokens: 5},
 		{Src: 1, Expert: 0, Dst: 1, Tokens: 3},
-	}}
-	if got := d.ReceivedLoads(); got[1] != 8 || got[0] != 0 {
-		t.Errorf("ReceivedLoads = %v", got)
+	})
+	if got := d.Loads(); !slices.Equal(got, []int{0, 8}) {
+		t.Errorf("Loads = %v", got)
 	}
-	vol := comm.NewVolumeMatrix(2)
-	vol.Bytes[1][0] = 7 // stale volume from a previous dispatch
-	d.FillVolumeMatrix(vol, 100)
-	if vol.Bytes[0][1] != 500 || vol.Bytes[1][1] != 0 || vol.Bytes[1][0] != 0 {
-		t.Errorf("FillVolumeMatrix wrong: %v", vol.Bytes)
+	buf := []int32{0, 0, 7, 0} // stale counts from a previous dispatch
+	got := d.PairTokens(buf)
+	if !slices.Equal(got, []int32{0, 5, 0, 3}) || &got[0] != &buf[0] {
+		t.Errorf("PairTokens = %v, want [0 5 0 3] summed into the caller's buffer", got)
+	}
+	if got := d.PairTokens(buf[:1]); !slices.Equal(got, []int32{0, 5, 0, 3}) {
+		t.Errorf("PairTokens into a short buffer = %v", got)
+	}
+	if got := d.CrossNodeTokens(topology.New(2, 1)); got != 5 {
+		t.Errorf("CrossNodeTokens = %d, want 5", got)
 	}
 }
 
 // TestLiteTrafficMatchesLiteRouting: on generated routings and layouts,
 // over clusters with a removed node and non-nominal link classes, the
 // traffic form carries exactly what LiteRouting's assignments sum to
-// (received loads, per-(src, dst) counts, cross-node tokens)
-// and fills the same volume-matrix bits, so the All-to-All prices the
-// same. Validate and CommCost reject it; a count past int32 panics.
+// (received loads, per-(src, dst) counts, cross-node tokens), so the
+// All-to-All prices the same bits from either form. Validate and CommCost
+// reject it. Past int32, LiteTraffic and the assignment form's PairTokens
+// panic at the same load.
 func TestLiteTrafficMatchesLiteRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -310,36 +316,23 @@ func TestLiteTrafficMatchesLiteRouting(t *testing.T) {
 			pairs[a.Src*n+a.Dst] += a.Tokens
 			loads[a.Dst] += a.Tokens
 		}
-		for i, c := range traffic.pairs {
-			if int(c) != pairs[i] {
-				t.Fatalf("trial %d: pair %d->%d carries %d tokens, assignments sum to %d", trial, i/n, i%n, c, pairs[i])
+		stale := slices.Repeat([]int32{7}, n*n) // counts from a previous dispatch
+		litePairs := lite.PairTokens(stale)
+		for i, c := range traffic.PairTokens(nil) {
+			if int(c) != pairs[i] || int(litePairs[i]) != pairs[i] {
+				t.Fatalf("trial %d: pair %d->%d carries %d tokens (traffic) and %d (PairTokens), assignments sum to %d", trial, i/n, i%n, c, litePairs[i], pairs[i])
 			}
 		}
-		if got := traffic.AppendReceivedLoads(nil); !slices.Equal(got, loads) || !slices.Equal(traffic.ReceivedLoads(), loads) {
-			t.Fatalf("trial %d: traffic loads %v, assignments sum to %v", trial, got, loads)
+		if !slices.Equal(traffic.Loads(), loads) || !slices.Equal(lite.Loads(), loads) {
+			t.Fatalf("trial %d: loads %v (traffic) and %v (assignments), assignments sum to %v", trial, traffic.Loads(), lite.Loads(), loads)
 		}
 		if got, want := traffic.CrossNodeTokens(topo), lite.CrossNodeTokens(topo); got != want {
 			t.Fatalf("trial %d: traffic crosses %d tokens, assignments %d", trial, got, want)
 		}
 
 		tokenBytes := float64(1 + rng.Intn(1<<14))
-		va, vt := comm.NewVolumeMatrix(n), comm.NewVolumeMatrix(n)
-		for i := range vt.Bytes {
-			for k := range vt.Bytes[i] {
-				vt.Bytes[i][k] = 0.5 // stale volume from a previous dispatch
-			}
-		}
-		lite.FillVolumeMatrix(va, tokenBytes)
-		traffic.FillVolumeMatrix(vt, tokenBytes)
-		for i := range va.Bytes {
-			for k := range va.Bytes[i] {
-				if math.Float64bits(va.Bytes[i][k]) != math.Float64bits(vt.Bytes[i][k]) {
-					t.Fatalf("trial %d: volume %d->%d is %v from assignments, %v from traffic", trial, i, k, va.Bytes[i][k], vt.Bytes[i][k])
-				}
-			}
-		}
 		cm := comm.New(topo)
-		if a, b := cm.AllToAll(va), cm.AllToAll(vt); math.Float64bits(a) != math.Float64bits(b) {
+		if a, b := cm.AllToAll(litePairs, tokenBytes), cm.AllToAll(traffic.PairTokens(nil), tokenBytes); math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("trial %d: All-to-All %v from assignments, %v from traffic", trial, a, b)
 		}
 		if traffic.Validate(r, layout) == nil {
@@ -361,5 +354,13 @@ func TestLiteTrafficMatchesLiteRouting(t *testing.T) {
 	}
 	small := matrixFrom([][]int{{1}, {2}})
 	mustPanic("CommCost of a traffic dispatch", func() { CommCost(LiteTraffic(small, layout, topo), topo, testParams()) })
-	mustPanic("LiteTraffic past int32", func() { LiteTraffic(matrixFrom([][]int{{math.MaxInt32}, {1}}), layout, topo) })
+	// Device 1 receives every token: MaxInt32 of them still fit, one more
+	// does not, in either form.
+	edge := matrixFrom([][]int{{math.MaxInt32 - 1}, {1}})
+	if got := LiteRouting(edge, layout, topo).PairTokens(nil); !slices.Equal(got, LiteTraffic(edge, layout, topo).PairTokens(nil)) {
+		t.Errorf("pair counts at MaxInt32 tokens: %v from assignments, want the traffic form's", got)
+	}
+	past := matrixFrom([][]int{{math.MaxInt32}, {1}})
+	mustPanic("LiteTraffic past int32", func() { LiteTraffic(past, layout, topo) })
+	mustPanic("PairTokens past int32", func() { LiteRouting(past, layout, topo).PairTokens(nil) })
 }

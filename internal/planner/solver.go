@@ -42,24 +42,18 @@ type Solution struct {
 	Migrations    int
 	MigrationTime float64
 
-	// The token dispatch is materialized lazily: the online engine only
-	// consumes the layout (lite routing runs per micro-batch against the
-	// live routing), so building the full strategy S inside the solve
-	// would be pure overhead on its hot path. A drift-tracked keep leaves
-	// the cost unscored the same way: params is non-nil until Cost scores
-	// it.
-	cost     float64
-	params   *CostParams
-	r        *trace.RoutingMatrix
-	topo     *topology.Topology
-	dispatch *Dispatch
+	// A drift-tracked keep leaves the cost unscored: params, r and topo
+	// are set until Cost scores it.
+	cost   float64
+	params *CostParams
+	r      *trace.RoutingMatrix
+	topo   *topology.Topology
 }
 
 // Cost returns the Eq. 2 cost of the solved layout under the routing
 // matrix the solve saw, scoring it on first use when the solve did not
-// need it. The same caveats as Dispatch apply: not safe for concurrent
-// first calls, and the routing matrix (and the solver's Params) must still
-// hold what the solve saw.
+// need it. Not safe for concurrent first calls, and the routing matrix
+// (and the solver's Params) must still hold what the solve saw.
 func (s *Solution) Cost() float64 {
 	if s.params != nil {
 		sc := routePool.Get().(*routeScratch)
@@ -68,20 +62,6 @@ func (s *Solution) Cost() float64 {
 		s.params = nil
 	}
 	return s.cost
-}
-
-// Dispatch returns the Alg. 3 lite-routing token dispatch of the solved
-// layout against the routing matrix the solve scored, building it on first
-// use. Not safe for concurrent first calls, and the routing matrix must
-// still hold the contents the solve scored: callers that reuse matrices in
-// place (Generator.StepInto) must take the dispatch before overwriting
-// them, or the lazily-built dispatch will describe the new routing while
-// Cost describes the old.
-func (s *Solution) Dispatch() *Dispatch {
-	if s.dispatch == nil && s.r != nil {
-		s.dispatch = LiteRouting(s.r, s.Layout, s.topo)
-	}
-	return s.dispatch
 }
 
 // Solver runs the expert layout tuner.
@@ -196,10 +176,10 @@ func NewSolver(topo *topology.Topology, c int, params CostParams, opts SolverOpt
 //
 // Scoring is incremental: each candidate layout is evaluated by streaming
 // the lite-routing assignments through the cost accumulators
-// (evalLayoutCost), so no candidate ever materializes a full Dispatch
-// (the winner's is built lazily on Solution.Dispatch). Candidates are
-// scored in order on one pooled route scratch; duplicate replica schemes
-// (perturbation is not guaranteed to produce fresh ones) are scored once.
+// (evalLayoutCost), so no candidate ever materializes a Dispatch.
+// Candidates are scored in order on one pooled route scratch; duplicate
+// replica schemes (perturbation is not guaranteed to produce fresh ones)
+// are scored once.
 func (s *Solver) Solve(r *trace.RoutingMatrix) (*Solution, error) {
 	n := s.Topo.N()
 	if r.N != n {
@@ -260,8 +240,6 @@ func (s *Solver) Solve(r *trace.RoutingMatrix) (*Solution, error) {
 		Layout:     layouts[bi],
 		Candidates: len(set),
 		cost:       costs[bi],
-		r:          r,
-		topo:       s.Topo,
 	}, nil
 }
 
@@ -398,8 +376,6 @@ func (s *Solver) solveWarm(r *trace.RoutingMatrix, warm WarmStart, tr *DriftTrac
 			Layout:     warm.Prev,
 			Candidates: 1,
 			cost:       keepCost,
-			r:          r,
-			topo:       s.Topo,
 		}, nil
 	}
 
@@ -441,8 +417,6 @@ func (s *Solver) solveWarm(r *trace.RoutingMatrix, warm WarmStart, tr *DriftTrac
 		Migrations:    bestMoves,
 		MigrationTime: warm.MigrationCost * float64(bestMoves),
 		cost:          bestCost,
-		r:             r,
-		topo:          s.Topo,
 	}, nil
 }
 

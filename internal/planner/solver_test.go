@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"slices"
 	"testing"
 
 	"laermoe/internal/stats"
@@ -23,9 +24,8 @@ func skewedMatrix(n, e, tokens int, seed int64) *trace.RoutingMatrix {
 }
 
 func loadsOf(d *Dispatch) []float64 {
-	ints := d.ReceivedLoads()
-	out := make([]float64, len(ints))
-	for i, v := range ints {
+	out := make([]float64, d.N)
+	for i, v := range d.Loads() {
 		out[i] = float64(v)
 	}
 	return out
@@ -50,7 +50,7 @@ func TestSolverBeatsStaticEP(t *testing.T) {
 		if sol.Cost() >= staticCost {
 			t.Errorf("seed %d: solver cost %.4f >= static %.4f", seed, sol.Cost(), staticCost)
 		}
-		solverImb := stats.Imbalance(loadsOf(sol.Dispatch()))
+		solverImb := stats.Imbalance(loadsOf(LiteTraffic(r, sol.Layout, topo)))
 		staticImb := stats.Imbalance(loadsOf(staticDispatch))
 		if solverImb >= staticImb {
 			t.Errorf("seed %d: solver imbalance %.3f >= static %.3f", seed, solverImb, staticImb)
@@ -74,7 +74,7 @@ func TestSolverSatisfiesConstraints(t *testing.T) {
 	if err := sol.Layout.Validate(2, false); err != nil {
 		t.Errorf("layout constraint violated: %v", err)
 	}
-	if err := sol.Dispatch().Validate(r, sol.Layout); err != nil {
+	if err := LiteRouting(r, sol.Layout, topo).Validate(r, sol.Layout); err != nil {
 		t.Errorf("dispatch constraint violated: %v", err)
 	}
 }
@@ -158,12 +158,12 @@ func TestSolverEpsilonExpandsCandidates(t *testing.T) {
 func TestCostModelComponents(t *testing.T) {
 	topo := topology.Default()
 	p := testParams()
-	local := &Dispatch{N: 32, E: 1, Assignments: []Assignment{{Src: 0, Expert: 0, Dst: 0, Tokens: 100}}}
+	local := NewDispatch(32, 1, []Assignment{{Src: 0, Expert: 0, Dst: 0, Tokens: 100}})
 	if got := CommCost(local, topo, p); got != 0 {
 		t.Errorf("local dispatch comm cost = %g, want 0", got)
 	}
-	intra := &Dispatch{N: 32, E: 1, Assignments: []Assignment{{Src: 0, Expert: 0, Dst: 1, Tokens: 100}}}
-	inter := &Dispatch{N: 32, E: 1, Assignments: []Assignment{{Src: 0, Expert: 0, Dst: 8, Tokens: 100}}}
+	intra := NewDispatch(32, 1, []Assignment{{Src: 0, Expert: 0, Dst: 1, Tokens: 100}})
+	inter := NewDispatch(32, 1, []Assignment{{Src: 0, Expert: 0, Dst: 8, Tokens: 100}})
 	if CommCost(intra, topo, p) >= CommCost(inter, topo, p) {
 		t.Error("intra-node traffic should cost less than inter-node")
 	}
@@ -182,7 +182,9 @@ func TestCostModelComponents(t *testing.T) {
 }
 
 // TestPlannerAsyncWrapper: the layout in force lags observations by one
-// iteration, and dispatches stay valid throughout.
+// iteration, and dispatches stay valid throughout: the traffic-form
+// dispatch carries the pair counts and loads of a valid LiteRouting of
+// the same (routing, layout).
 func TestPlannerAsyncWrapper(t *testing.T) {
 	topo := topology.Default()
 	p, err := New(topo, 2, 8, 2, testParams(), DefaultSolverOptions(), 0.6)
@@ -198,8 +200,12 @@ func TestPlannerAsyncWrapper(t *testing.T) {
 	}
 	r := skewedMatrix(32, 8, 16384, 5)
 	d := p.Dispatch(0, r)
-	if err := d.Validate(r, static); err != nil {
+	lite := LiteRouting(r, static, topo)
+	if err := lite.Validate(r, static); err != nil {
 		t.Fatalf("initial dispatch invalid: %v", err)
+	}
+	if !slices.Equal(d.PairTokens(nil), lite.PairTokens(nil)) || !slices.Equal(d.Loads(), lite.Loads()) {
+		t.Fatal("the planner's dispatch does not carry its lite routing's traffic")
 	}
 	sol, err := p.Observe(0, r)
 	if err != nil {

@@ -75,12 +75,13 @@ func TestSolveWarmLayoutIsValidAndCostConsistent(t *testing.T) {
 		if err := warm.Layout.Validate(s.C, true); err != nil {
 			t.Fatalf("seed %d: warm layout invalid: %v", seed, err)
 		}
-		if err := warm.Dispatch().Validate(r1, warm.Layout); err != nil {
+		d := LiteRouting(r1, warm.Layout, s.Topo)
+		if err := d.Validate(r1, warm.Layout); err != nil {
 			t.Fatalf("seed %d: warm dispatch invalid: %v", seed, err)
 		}
 		// The incremental score must be bit-identical to evaluating the
 		// materialized dispatch from scratch.
-		if got := TimeCost(warm.Dispatch(), s.Topo, s.Params); got != warm.Cost() {
+		if got := TimeCost(d, s.Topo, s.Params); got != warm.Cost() {
 			t.Fatalf("seed %d: incremental cost %g != materialized cost %g", seed, warm.Cost(), got)
 		}
 		if warm.Migrations != MigrationMoves(sol0.Layout, warm.Layout) {

@@ -27,7 +27,6 @@ type latencyMeter struct {
 
 	drain  []float64 // per device: this layer's queue-drain time
 	edelay []float64 // per (src, expert): slowest destination drain
-	loads  []int     // received-loads scratch
 
 	epoch []float64 // request latencies of the current epoch
 	all   []float64 // request latencies of the whole run
@@ -66,8 +65,7 @@ func (m *latencyMeter) record(batch *trace.RequestBatch, plans []executor.LayerP
 			m.drain = make([]float64, n)
 		}
 		m.drain = m.drain[:n]
-		m.loads = d.AppendReceivedLoads(m.loads[:0])
-		for dev, load := range m.loads {
+		for dev, load := range d.Loads() {
 			m.drain[dev] = m.cm.ExpertComputeTime(dev, load)
 		}
 		if need := n * d.E; cap(m.edelay) < need {

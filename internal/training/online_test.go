@@ -1,8 +1,10 @@
 package training
 
 import (
+	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"laermoe/internal/comm"
@@ -531,11 +533,7 @@ func TestDispatchEnvRecyclesNoDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	volume := func(d *planner.Dispatch) [][]float64 {
-		vol := comm.NewVolumeMatrix(topo.N())
-		d.FillVolumeMatrix(vol, 4096)
-		return vol.Bytes
-	}
+	cm := comm.New(topo)
 	for _, policy := range ReplanPolicies() {
 		spec, err := ResolvePolicy(policy)
 		if err != nil {
@@ -550,12 +548,16 @@ func TestDispatchEnvRecyclesNoDispatch(t *testing.T) {
 				}
 				return d
 			}
+			a2a := func(d *planner.Dispatch) uint64 { return math.Float64bits(cm.AllToAll(d.PairTokens(nil), 4096)) }
+			// Copy the fresh dispatch's results before the shared env
+			// routes anything: a router that recycled one buffer would
+			// otherwise make fresh and first alias the same counts.
 			fresh := route(&DispatchEnv{Topo: topo, Capacity: 2, Assignments: assignments}, routing[0])
-			loads, vol := fresh.ReceivedLoads(), volume(fresh)
+			loads, pairs, bits := slices.Clone(fresh.Loads()), slices.Clone(fresh.PairTokens(nil)), a2a(fresh)
 			shared := DispatchEnv{Topo: topo, Capacity: 2, Assignments: assignments}
 			first := route(&shared, routing[0])
 			route(&shared, routing[1])
-			if !reflect.DeepEqual(first.ReceivedLoads(), loads) || !reflect.DeepEqual(volume(first), vol) {
+			if !reflect.DeepEqual(first.Loads(), loads) || !reflect.DeepEqual(first.PairTokens(nil), pairs) || a2a(first) != bits {
 				t.Errorf("%s (assignments %v): routing a second layer through the env changed the first layer's dispatch", policy, assignments)
 			}
 		}

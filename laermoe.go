@@ -559,12 +559,12 @@ func PlanLayout(req PlanRequest) (*PlanResult, error) {
 	res := &PlanResult{
 		Replicas:    sol.Layout.ReplicaVector(),
 		Layout:      sol.Layout.Clone().A,
-		DeviceLoads: sol.Dispatch().ReceivedLoads(),
+		DeviceLoads: planner.LiteTraffic(r, sol.Layout, topo).Loads(),
 		Cost:        sol.Cost(),
 	}
 	res.ImbalanceAfter = stats.Imbalance(intsToFloats(res.DeviceLoads))
 	if static, serr := planner.EPRouting(r, req.Capacity); serr == nil {
-		res.ImbalanceBefore = stats.Imbalance(intsToFloats(static.ReceivedLoads()))
+		res.ImbalanceBefore = stats.Imbalance(intsToFloats(static.Loads()))
 	} else {
 		res.ImbalanceBefore = res.ImbalanceAfter
 	}
