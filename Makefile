@@ -121,14 +121,14 @@ bench-serve:
 
 # Compare the current hot-path benchmarks against the checked-in
 # baseline (benchmarks/baseline.txt). The warm-solve, generator, observe,
-# request-dispatch, iteration and N=128 lite-routing and lite-traffic
-# benchmarks ($(BENCH_GATE)) are a blocking gate: a >15% ns/op or allocs/op
-# regression fails the build. Everything else stays
+# request-dispatch, iteration, N=128 lite-routing and lite-traffic, and
+# layer-replan benchmarks ($(BENCH_GATE)) are a blocking gate: a >15%
+# ns/op or allocs/op regression fails the build. Everything else stays
 # informational — single-shot samples on the remaining benchmarks are
 # too noisy to gate on. benchstat output is printed additionally when
 # installed. After an intentional perf change, refresh with
 # `make bench-baseline` and commit the result.
-BENCH_GATE = BenchmarkSolveWarm|BenchmarkGenerator|BenchmarkObserve|BenchmarkRequestDispatch|BenchmarkRunIteration|BenchmarkLite(Routing|Traffic)128
+BENCH_GATE = BenchmarkSolveWarm|BenchmarkGenerator|BenchmarkObserve|BenchmarkRequestDispatch|BenchmarkRunIteration|BenchmarkLite(Routing|Traffic)128|BenchmarkLayerReplan
 bench-diff:
 	@mkdir -p benchmarks
 	$(MAKE) --no-print-directory bench-smoke > benchmarks/current.txt || (cat benchmarks/current.txt; exit 1)

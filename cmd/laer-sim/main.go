@@ -57,7 +57,7 @@ func main() {
 		driftRate  = flag.Float64("drift-rate", 0, "online mode: drift strength in (0,1] (0 = default 0.5)")
 		policies   = flag.String("policies", "predictive,warm,scratch,static", "online mode: comma-separated replan policies to compare")
 		predictor  = flag.String("predictor", "trend", "online mode: load predictor for the predictive policy (last, ema, trend)")
-		confidence = flag.Float64("confidence", 0, "online mode: forecast-error confidence threshold (0 = default 0.25, negative = trust unconditionally)")
+		confidence = flag.Float64("confidence", 0, "online mode: forecast-error confidence threshold, not negative (0 = default 0.25)")
 		threshold  = flag.Float64("threshold", 0, "online mode: warm-start per-expert load-change threshold (0 = default 0.2, negative = re-place on any change)")
 		chargeMig  = flag.Bool("charge-relocation", false, "online mode: charge optimizer-state relocation per migrated replica (default: free FSEP re-layout)")
 
@@ -95,8 +95,8 @@ func main() {
 		epochs: *epochs, epochIters: *epochIters,
 		forceTokens: *forceTokens,
 		policies:    *policies, drift: *drift, predictor: *predictor,
-		driftRate: *driftRate,
-		elastic:   *elastic, faultSchedule: *faultSchedule,
+		driftRate: *driftRate, confidence: *confidence,
+		elastic: *elastic, faultSchedule: *faultSchedule,
 		workload: *workload, arrival: *arrival,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "laer-sim:", err)
@@ -195,7 +195,7 @@ type simFlags struct {
 	epochs, epochIters         int
 	forceTokens                int
 	policies, drift, predictor string
-	driftRate                  float64
+	driftRate, confidence      float64
 	elastic                    bool
 	faultSchedule              string
 	workload, arrival          string
@@ -267,6 +267,9 @@ func validateFlags(f simFlags) error {
 	}
 	if f.driftRate < 0 || f.driftRate > 1 {
 		return fmt.Errorf("-drift-rate %g out of [0,1] (0 selects the default)", f.driftRate)
+	}
+	if f.confidence < 0 {
+		return fmt.Errorf("-confidence %g must not be negative (0 selects the default)", f.confidence)
 	}
 	// Name flags resolve through the one policy/workload/predictor/drift
 	// registry, so a policy registered there is accepted here with no

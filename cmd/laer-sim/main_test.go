@@ -85,6 +85,8 @@ func TestValidateFlags(t *testing.T) {
 	bad("drift model", func(f *simFlags) { online(f); f.drift = "sideways" })
 	bad("-drift-rate", func(f *simFlags) { online(f); f.driftRate = 1.5 })
 	bad("-drift-rate", func(f *simFlags) { online(f); f.driftRate = -0.1 })
+	bad("-confidence", func(f *simFlags) { online(f); f.confidence = -1 })
+	ok(func(f *simFlags) { online(f); f.confidence = 0.4 })
 	bad("predictor", func(f *simFlags) { online(f); f.predictor = "oracle" })
 	bad("replan policy", func(f *simFlags) { online(f); f.policies = "warm,oracle" })
 	bad("no policy", func(f *simFlags) { online(f); f.policies = " , " })

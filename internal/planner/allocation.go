@@ -15,31 +15,26 @@ import (
 // the N*C-E pop/push rounds would otherwise box one loadItem per
 // operation through the interface{} API.
 func ReplicaAllocation(expertLoads []float64, n, c int) ([]int, error) {
-	return allocateReplicas(expertLoads, n*c)
+	return allocateReplicas(nil, expertLoads, n*c, nil)
 }
 
-// allocateReplicas is ReplicaAllocation over an explicit slot budget; the
-// warm-start solver uses it to re-allocate only the slots freed by the
-// experts being re-placed.
-func allocateReplicas(expertLoads []float64, slots int) ([]int, error) {
-	reps := make([]int, len(expertLoads))
-	if err := allocateReplicasInto(reps, expertLoads, slots, nil); err != nil {
-		return nil, err
-	}
-	return reps, nil
-}
-
-// allocateReplicasInto is allocateReplicas writing into reps
-// (len(expertLoads)) with an optional reusable heap buffer, for
-// steady-state allocation-free warm solves.
-func allocateReplicasInto(reps []int, expertLoads []float64, slots int, pq loadHeap) error {
+// allocateReplicas is ReplicaAllocation over an explicit slot budget,
+// which the warm-start solver uses to re-allocate only the slots freed by
+// the experts being re-placed. It writes into reps when its capacity
+// holds len(expertLoads), and uses pq as the heap when its capacity does,
+// so steady-state warm solves allocate nothing; nil allocates either.
+func allocateReplicas(reps []int, expertLoads []float64, slots int, pq loadHeap) ([]int, error) {
 	e := len(expertLoads)
 	if e == 0 {
-		return fmt.Errorf("planner: no experts")
+		return nil, fmt.Errorf("planner: no experts")
 	}
 	if slots < e {
-		return fmt.Errorf("planner: %d replica slots cannot cover %d experts", slots, e)
+		return nil, fmt.Errorf("planner: %d replica slots cannot cover %d experts", slots, e)
 	}
+	if cap(reps) < e {
+		reps = make([]int, e)
+	}
+	reps = reps[:e]
 	if cap(pq) < e {
 		pq = make(loadHeap, e)
 	}
@@ -58,7 +53,7 @@ func allocateReplicasInto(reps []int, expertLoads []float64, slots int, pq loadH
 		pq[0].avgLoad = expertLoads[j] / float64(reps[j])
 		pq.siftDown(0)
 	}
-	return nil
+	return reps, nil
 }
 
 // EvenAllocation implements the uniform scheme of Alg. 2 line 3: every
@@ -66,40 +61,36 @@ func allocateReplicasInto(reps []int, expertLoads []float64, slots int, pq loadH
 // not divide N*C) is assigned to the highest-load experts so all slots are
 // used and Eq. 3 can hold with equality.
 func EvenAllocation(expertLoads []float64, n, c int) ([]int, error) {
-	return allocateEven(expertLoads, n*c)
+	return allocateEven(nil, expertLoads, n*c, nil)
 }
 
-// allocateEven is EvenAllocation over an explicit slot budget.
-func allocateEven(expertLoads []float64, slots int) ([]int, error) {
-	reps := make([]int, len(expertLoads))
-	if err := allocateEvenInto(reps, expertLoads, slots, nil); err != nil {
-		return nil, err
-	}
-	return reps, nil
-}
-
-// allocateEvenInto is allocateEven writing into reps (len(expertLoads))
-// with an optional reusable index buffer.
-func allocateEvenInto(reps []int, expertLoads []float64, slots int, order []int) error {
+// allocateEven is EvenAllocation over an explicit slot budget, writing
+// into reps and sorting through order when their capacities suffice (nil
+// allocates either).
+func allocateEven(reps []int, expertLoads []float64, slots int, order []int) ([]int, error) {
 	e := len(expertLoads)
 	if e == 0 {
-		return fmt.Errorf("planner: no experts")
+		return nil, fmt.Errorf("planner: no experts")
 	}
 	if slots < e {
-		return fmt.Errorf("planner: %d replica slots cannot cover %d experts", slots, e)
+		return nil, fmt.Errorf("planner: %d replica slots cannot cover %d experts", slots, e)
 	}
+	if cap(reps) < e {
+		reps = make([]int, e)
+	}
+	reps = reps[:e]
 	base := slots / e
 	for j := range reps {
 		reps[j] = base
 	}
 	rem := slots - base*e
 	if rem > 0 {
-		order = argsortDescInto(order, expertLoads)
+		order = argsortDesc(order, expertLoads)
 		for k := 0; k < rem; k++ {
 			reps[order[k%e]]++
 		}
 	}
-	return nil
+	return reps, nil
 }
 
 // loadItem orders experts by average load, highest first.
@@ -136,16 +127,11 @@ func (h loadHeap) siftDown(i int) {
 	}
 }
 
-// argsortDesc returns indices of xs sorted by descending value with stable
-// index tie-break.
-func argsortDesc(xs []float64) []int {
-	return argsortDescInto(nil, xs)
-}
-
-// argsortDescInto is argsortDesc reusing idx's capacity. The (value desc,
-// index asc) key is a total order, so a plain sort is deterministic; the
+// argsortDesc returns the indices of xs sorted by descending value with
+// stable index tie-break, reusing idx's capacity. The (value desc, index
+// asc) key is a total order, so a plain sort is deterministic; the
 // previous insertion sort went quadratic at production expert counts.
-func argsortDescInto(idx []int, xs []float64) []int {
+func argsortDesc(idx []int, xs []float64) []int {
 	if cap(idx) < len(xs) {
 		idx = make([]int, len(xs))
 	}

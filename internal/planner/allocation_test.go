@@ -145,7 +145,7 @@ func TestAllocationErrors(t *testing.T) {
 }
 
 func TestArgsortDesc(t *testing.T) {
-	got := argsortDesc([]float64{3, 9, 1, 9})
+	got := argsortDesc(nil, []float64{3, 9, 1, 9})
 	// Ties break on the lower index.
 	want := []int{1, 3, 0, 2}
 	for i := range want {

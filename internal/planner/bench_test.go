@@ -152,11 +152,11 @@ func BenchmarkSolveWarm(b *testing.B) {
 	prevLoads := r0.ExpertLoads()
 
 	// The production keep path: a drift tracker rides along (as a tracked
-	// Layer's warm starts do), so an observation posted twice unchanged
-	// folds in as a matrix diff with no changed cell, and the keep verdict
-	// scores no cost.
-	tr := NewDriftTracker(topo)
-	if err := tr.Rebase(r0, sol0.Layout, prevLoads, 0); err != nil {
+	// Layer's warm starts do), rebased from the cold solve's scoring walk,
+	// so an observation posted twice unchanged folds in as a matrix diff
+	// with no changed cell, and the keep verdict scores no cost.
+	tr := newDriftTracker(topo)
+	if err := tr.rebase(r0, prevLoads, 0, s.scored()); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("keep", func(b *testing.B) {
@@ -226,6 +226,49 @@ func BenchmarkSolveWarm(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkLayerReplan runs a tracked warm Layer at the online
+// benchmark's shape (routing128's 512 experts on 16x8 devices at C=4)
+// through a cycle of drifting observations, so most steps replan and
+// rebase the tracker: the planning step of a drifting sim-online layer.
+// It fails if no step replans.
+func BenchmarkLayerReplan(b *testing.B) {
+	topo := topology.New(16, 8)
+	gen, err := trace.NewGenerator(trace.GeneratorConfig{
+		Devices: 128, Experts: 512, Layers: 1, TokensPerDevice: 512, TopK: 2, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	obs := make([]*trace.RoutingMatrix, 8)
+	for i := range obs {
+		if err := gen.ApplyDrift(trace.DriftConfig{Model: trace.DriftMigration, Rate: 0.4}); err != nil {
+			b.Fatal(err)
+		}
+		obs[i] = gen.Step()[0]
+	}
+	initial, err := StaticEP(512, 128, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewSolver(topo, 4, CostParams{TokenBytes: 8192, ExpertFLOPsPerToken: 352e6, FLOPS: 140e12}, DefaultSolverOptions())
+	l := NewLayer(s, initial, true, true, 0)
+	replans := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := l.Replan(obs[i%len(obs)], 0, 0, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Changed {
+			replans++
+		}
+	}
+	if replans == 0 {
+		b.Fatal("no step replanned the layer")
+	}
 }
 
 func benchName(n int) string {

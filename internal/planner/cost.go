@@ -81,15 +81,15 @@ func evalLayoutCost(r *trace.RoutingMatrix, l *Layout, topo *topology.Topology, 
 
 // evalBuiltLayoutCost is evalLayoutCost over a scratch already prepared
 // with buildReplicas for l — the warm solver uses it to amortize the
-// replica-list build of a layout it re-scores across epochs.
+// replica-list build of a layout it re-scores across epochs. The walk's
+// per-device received loads stay in sc.loads.
 func evalBuiltLayoutCost(r *trace.RoutingMatrix, l *Layout, topo *topology.Topology, p CostParams, sc *routeScratch) float64 {
 	if cap(sc.loads) < l.N {
 		sc.loads = make([]int, l.N)
 	}
-	loads := sc.loads[:l.N]
-	for i := range loads {
-		loads[i] = 0
-	}
+	sc.loads = sc.loads[:l.N]
+	loads := sc.loads
+	clear(loads)
 	commT := 0.0
 	hetero := topo.HasLinkClasses()
 	forEachAssignment(r, l, topo, sc, func(src, expert, dst, tokens int, sameNode bool) {

@@ -9,7 +9,7 @@ import (
 	"laermoe/internal/trace"
 )
 
-// DriftTracker maintains, incrementally, everything the warm solver's
+// driftTracker maintains, incrementally, everything the warm solver's
 // keep-versus-replan gate needs about one layer: the last observed routing
 // matrix, the per-expert load totals, which experts have drifted past the
 // replan threshold relative to the loads the current layout was planned
@@ -21,7 +21,14 @@ import (
 // layer: when no expert is over threshold, the full SolveWarm is
 // guaranteed to return "keep", so SolveWarm returns that verdict without
 // scoring its cost (Solution.Cost scores it on demand) and the tracker
-// reports the exact LiteImbalance directly.
+// reports the layer's imbalance directly.
+//
+// The tracker walks no Alg. 3 routing of its own. rebase copies the
+// device loads the solve's scoring walk left (Solver.scored), and update
+// splits changed cells over the solver's cached replica lists, which
+// describe the bound layout: every scored solve leaves the cache on the
+// layout it returned, Layer installs that layout, and a tracked keep
+// changes neither.
 //
 // Exactness contract (what makes the incremental path byte-identical to
 // the full re-score):
@@ -33,16 +40,16 @@ import (
 //     bit for bit;
 //   - per-device received loads are maintained by replaying, per changed
 //     cell, the exact token split forEachAssignment performs (same
-//     intra-node/global segment choice, same remainder rotation), so
-//     Imbalance reproduces LiteImbalance's integer accumulators and its
-//     float division exactly.
+//     intra-node/global segment choice, same remainder rotation), so they
+//     equal the integer loads a scoring walk of the current observation
+//     would accumulate, and imbalance divides them exactly as it would.
 //
 // A tracker is bound to one (layout, planned loads, threshold) epoch by
-// Rebase and must be Invalidated whenever the layout, the planned loads or
+// rebase and must be invalidated whenever the layout, the planned loads or
 // the topology change. Layer owns a layer's tracker and is the one place
 // that rebases and invalidates it, so the tracked solve never checks the
 // binding. It is not safe for concurrent use.
-type DriftTracker struct {
+type driftTracker struct {
 	topo *topology.Topology
 	e, n int
 
@@ -50,19 +57,18 @@ type DriftTracker struct {
 	loads    []float64            // per-expert totals of prev (integer-valued)
 	base     []float64            // planned loads the threshold measures against
 	over     []bool               // per-expert over-threshold flags
-	overIdx  []int                // scratch: experts touched by the last Update
-	touch    []int32              // scratch: 1+position in overIdx during an Update
+	overIdx  []int                // scratch: experts touched by the last update
+	touch    []int32              // scratch: 1+position in overIdx during an update
 	devLoads []int                // per-device received loads under the bound layout
-	sc       routeScratch         // replica lists of the bound layout
 	thr      float64
 
 	valid bool
 }
 
-// NewDriftTracker builds a tracker for the given cluster. It starts
-// invalid; Rebase binds it to a layout.
-func NewDriftTracker(topo *topology.Topology) *DriftTracker {
-	return &DriftTracker{topo: topo}
+// newDriftTracker builds a tracker for the given cluster. It starts
+// invalid; rebase binds it to a layout.
+func newDriftTracker(topo *topology.Topology) *driftTracker {
+	return &driftTracker{topo: topo}
 }
 
 // normalizeWarmThreshold is SolveWarm's threshold defaulting: 0 selects
@@ -88,22 +94,18 @@ func drifted(load, base, thr float64) bool {
 	return math.Abs(load-base)/denom > thr
 }
 
-// Invalidate unbinds the tracker; the next decision must take the full
-// path and Rebase.
-func (t *DriftTracker) Invalidate() { t.valid = false }
+// invalidate unbinds the tracker; the next decision must take the full
+// path and rebase.
+func (t *driftTracker) invalidate() { t.valid = false }
 
-// Rebase binds the tracker: layout is the layout now in force, base the
-// per-expert loads it was planned for (SolveWarm's PrevLoads, copied),
-// threshold the raw WarmStart.Threshold, and r the observation the layout
-// was installed against. Everything is recomputed from scratch — Rebase
-// runs right after a full solve, whose cost it amortizes.
-func (t *DriftTracker) Rebase(r *trace.RoutingMatrix, layout *Layout, base []float64, threshold float64) error {
-	if layout == nil {
-		return fmt.Errorf("planner: drift tracker rebased onto nil layout")
-	}
-	if r.E != layout.E || r.N != layout.N {
-		return fmt.Errorf("planner: drift tracker routing %dx%d does not match layout %dx%d", r.N, r.E, layout.N, layout.E)
-	}
+// rebase binds the tracker to the layout now in force: r is the
+// observation that layout was installed against, base the per-expert
+// loads it was planned for (SolveWarm's PrevLoads, copied), threshold the
+// raw WarmStart.Threshold, and devLoads the per-device received loads of
+// r's lite routing under the layout, which the solve's scoring walk left
+// (Solver.scored). Everything else is recomputed from r — rebase runs
+// right after a full solve, whose cost it amortizes.
+func (t *driftTracker) rebase(r *trace.RoutingMatrix, base []float64, threshold float64, devLoads []int) error {
 	if len(base) != r.E {
 		return fmt.Errorf("planner: drift tracker has %d base loads for %d experts", len(base), r.E)
 	}
@@ -132,29 +134,18 @@ func (t *DriftTracker) Rebase(r *trace.RoutingMatrix, layout *Layout, base []flo
 		t.over[j] = drifted(t.loads[j], t.base[j], t.thr)
 		t.touch[j] = 0
 	}
-
-	t.sc.buildReplicas(layout, t.topo)
-	if cap(t.devLoads) < t.n {
-		t.devLoads = make([]int, t.n)
-	}
-	t.devLoads = t.devLoads[:t.n]
-	for d := range t.devLoads {
-		t.devLoads[d] = 0
-	}
-	forEachAssignment(t.prev, layout, t.topo, &t.sc, func(_, _, dst, tokens int, _ bool) {
-		t.devLoads[dst] += tokens
-	})
+	t.devLoads = append(t.devLoads[:0], devLoads...)
 
 	t.valid = true
 	return nil
 }
 
-// Update folds one observation in: it diffs r against the retained
-// previous matrix, replays each changed cell's token split into the
-// per-device loads, adjusts the per-expert totals and re-evaluates the
-// threshold flags of the touched experts. The tracker must be valid and r
-// must match its shape.
-func (t *DriftTracker) Update(r *trace.RoutingMatrix) error {
+// update folds one observation in: it diffs r against the retained
+// previous matrix, replays each changed cell's token split over sc (the
+// replica lists of the bound layout) into the per-device loads, adjusts
+// the per-expert totals and re-evaluates the threshold flags of the
+// touched experts. The tracker must be valid and r must match its shape.
+func (t *driftTracker) update(r *trace.RoutingMatrix, sc *routeScratch) error {
 	if !t.valid {
 		return fmt.Errorf("planner: drift tracker update before rebase")
 	}
@@ -169,8 +160,8 @@ func (t *DriftTracker) Update(r *trace.RoutingMatrix) error {
 			if nv == pv {
 				continue
 			}
-			t.splitCell(i, j, pv, -1)
-			t.splitCell(i, j, nv, +1)
+			t.splitCell(sc, i, j, pv, -1)
+			t.splitCell(sc, i, j, nv, +1)
 			t.loads[j] += float64(nv - pv)
 			prow[j] = nv
 			if t.touch[j] == 0 {
@@ -187,26 +178,26 @@ func (t *DriftTracker) Update(r *trace.RoutingMatrix) error {
 }
 
 // splitCell replays forEachAssignment's token split of one (rank, expert,
-// tokens) cell into the per-device accumulators with the given sign: the
-// same intra-node-else-global segment choice and the same
+// tokens) cell over sc into the per-device accumulators with the given
+// sign: the same intra-node-else-global segment choice and the same
 // (idx+rank+expert) mod n remainder rotation, so adding a cell and later
 // subtracting it cancels exactly.
-func (t *DriftTracker) splitCell(rank, j, tokens, sign int) {
+func (t *driftTracker) splitCell(sc *routeScratch, rank, j, tokens, sign int) {
 	if tokens == 0 {
 		return
 	}
 	nn := t.topo.NumNodes
 	base := j * (nn + 1)
 	node := t.topo.Node(rank)
-	lo, hi := t.sc.nodeOff[base+node], t.sc.nodeOff[base+node+1]
+	lo, hi := sc.nodeOff[base+node], sc.nodeOff[base+node+1]
 	if lo >= hi {
-		lo, hi = t.sc.repOff[j], t.sc.repOff[j+1]
+		lo, hi = sc.repOff[j], sc.repOff[j+1]
 	}
 	if hi-lo == 1 {
-		t.devLoads[t.sc.repArena[lo]] += sign * tokens
+		t.devLoads[sc.repArena[lo]] += sign * tokens
 		return
 	}
-	targets := t.sc.repArena[lo:hi]
+	targets := sc.repArena[lo:hi]
 	n := len(targets)
 	bs, rem := tokens/n, tokens%n
 	for idx, dev := range targets {
@@ -218,16 +209,16 @@ func (t *DriftTracker) splitCell(rank, j, tokens, sign int) {
 	}
 }
 
-// CanKeep reports that the full warm solve is guaranteed to keep the
+// canKeep reports that the full warm solve is guaranteed to keep the
 // bound layout for the current observation: the tracker is valid and no
 // expert drifted past the threshold (SolveWarm's anyMoved is false).
-func (t *DriftTracker) CanKeep() bool {
+func (t *driftTracker) canKeep() bool {
 	return t.valid && !slices.Contains(t.over, true)
 }
 
-// Imbalance returns LiteImbalance(r, layout, topo) for the tracked state,
-// from the incrementally maintained integer device loads: the same loads
-// through the same LoadImbalance, so a bit-identical result.
-func (t *DriftTracker) Imbalance() float64 {
+// imbalance returns LoadImbalance of the tracked device loads: the same
+// integers a scoring walk of the current observation under the bound
+// layout accumulates, so a bit-identical result.
+func (t *driftTracker) imbalance() float64 {
 	return LoadImbalance(t.devLoads, t.topo.NumAvailable())
 }

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"laermoe/internal/topology"
@@ -29,18 +30,48 @@ func driftFixture(t *testing.T, n, e, tokens int) (*topology.Topology, *Solver, 
 	return topo, s, gen, r0, sol0
 }
 
-// TestDriftTrackerMatchesFullRecompute drives a tracker through a drift
-// sequence and checks, at every step, that its incremental state equals
-// the from-scratch recomputation: per-expert loads bit for bit, the
-// over-threshold flags against SolveWarm's moved[] formula, and the
-// device-load imbalance against LiteImbalance.
+// scoredScratch returns a route scratch after a scoring walk of layout
+// under r: what a solve that returned layout leaves in its solver's cache.
+func scoredScratch(s *Solver, r *trace.RoutingMatrix, layout *Layout) *routeScratch {
+	sc := new(routeScratch)
+	evalLayoutCost(r, layout, s.Topo, s.Params, sc)
+	return sc
+}
+
+// checkCache fails unless s's keep-path cache describes layout (keyed on
+// it, with the replica lists a fresh build gives) and, for a non-nil r,
+// holds the device loads of layout's lite routing under r.
+func checkCache(t *testing.T, what string, s *Solver, r *trace.RoutingMatrix, layout *Layout) {
+	t.Helper()
+	var fresh routeScratch
+	fresh.buildReplicas(layout, s.Topo)
+	c := &s.warm.route
+	if s.warm.built != layout || !slices.Equal(c.repArena, fresh.repArena) ||
+		!slices.Equal(c.repOff, fresh.repOff) || !slices.Equal(c.nodeOff, fresh.nodeOff) {
+		t.Fatalf("%s: the solver's cache does not describe the layout", what)
+	}
+	if r == nil {
+		return
+	}
+	if want := LiteTraffic(r, layout, s.Topo).Loads(); !slices.Equal(s.scored(), want) {
+		t.Fatalf("%s: scored loads %v, lite routing's %v", what, s.scored(), want)
+	}
+}
+
+// TestDriftTrackerMatchesFullRecompute drives a tracker, rebased from a
+// scored scratch, through a drift sequence and checks, at every step,
+// that its incremental state equals the from-scratch recomputation:
+// per-expert loads bit for bit, the over-threshold flags against
+// SolveWarm's moved[] formula, and the device loads and their imbalance
+// against the lite routing's.
 func TestDriftTrackerMatchesFullRecompute(t *testing.T) {
-	topo, _, gen, r0, sol0 := driftFixture(t, 16, 64, 256)
+	topo, s, gen, r0, sol0 := driftFixture(t, 16, 64, 256)
 	base := r0.ExpertLoads()
 	thr := 0.1
 
-	tr := NewDriftTracker(topo)
-	if err := tr.Rebase(r0, sol0.Layout, base, thr); err != nil {
+	sc := scoredScratch(s, r0, sol0.Layout)
+	tr := newDriftTracker(topo)
+	if err := tr.rebase(r0, base, thr, sc.loads); err != nil {
 		t.Fatal(err)
 	}
 
@@ -49,7 +80,7 @@ func TestDriftTrackerMatchesFullRecompute(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := gen.Step()[0]
-		if err := tr.Update(r); err != nil {
+		if err := tr.update(r, sc); err != nil {
 			t.Fatal(err)
 		}
 
@@ -76,11 +107,15 @@ func TestDriftTrackerMatchesFullRecompute(t *testing.T) {
 			}
 			anyOver = anyOver || want
 		}
-		if tr.CanKeep() == anyOver {
-			t.Fatalf("step %d: CanKeep %v with an expert over threshold %v", step, tr.CanKeep(), anyOver)
+		if tr.canKeep() == anyOver {
+			t.Fatalf("step %d: canKeep %v with an expert over threshold %v", step, tr.canKeep(), anyOver)
 		}
 
-		if got, want := tr.Imbalance(), LiteImbalance(r, sol0.Layout, topo); got != want {
+		ref := LiteTraffic(r, sol0.Layout, topo).Loads()
+		if !slices.Equal(tr.devLoads, ref) {
+			t.Fatalf("step %d: tracked device loads %v, lite routing's %v", step, tr.devLoads, ref)
+		}
+		if got, want := tr.imbalance(), LoadImbalance(ref, topo.NumAvailable()); got != want {
 			t.Fatalf("step %d: tracked imbalance %v, want %v (must be bit-identical)", step, got, want)
 		}
 	}
@@ -88,13 +123,14 @@ func TestDriftTrackerMatchesFullRecompute(t *testing.T) {
 
 // TestDriftTrackerUpdateEqualsRebase checks that a tracker that reached a
 // state through N incremental updates is indistinguishable from one
-// rebased directly onto the final observation.
+// rebased directly onto the final observation's scoring walk.
 func TestDriftTrackerUpdateEqualsRebase(t *testing.T) {
-	topo, _, gen, r0, sol0 := driftFixture(t, 12, 48, 192)
+	topo, s, gen, r0, sol0 := driftFixture(t, 12, 48, 192)
 	base := r0.ExpertLoads()
 
-	inc := NewDriftTracker(topo)
-	if err := inc.Rebase(r0, sol0.Layout, base, 0.15); err != nil {
+	sc := scoredScratch(s, r0, sol0.Layout)
+	inc := newDriftTracker(topo)
+	if err := inc.rebase(r0, base, 0.15, sc.loads); err != nil {
 		t.Fatal(err)
 	}
 	var last *trace.RoutingMatrix
@@ -103,13 +139,13 @@ func TestDriftTrackerUpdateEqualsRebase(t *testing.T) {
 			t.Fatal(err)
 		}
 		last = gen.Step()[0]
-		if err := inc.Update(last); err != nil {
+		if err := inc.update(last, sc); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	fresh := NewDriftTracker(topo)
-	if err := fresh.Rebase(last, sol0.Layout, base, 0.15); err != nil {
+	fresh := newDriftTracker(topo)
+	if err := fresh.rebase(last, base, 0.15, scoredScratch(s, last, sol0.Layout).loads); err != nil {
 		t.Fatal(err)
 	}
 	il, fl := inc.loads, fresh.loads
@@ -126,11 +162,11 @@ func TestDriftTrackerUpdateEqualsRebase(t *testing.T) {
 			t.Fatalf("expert %d: incremental over %v, rebased %v", j, im[j], fm[j])
 		}
 	}
-	if inc.Imbalance() != fresh.Imbalance() {
-		t.Fatalf("imbalance: incremental %v, rebased %v", inc.Imbalance(), fresh.Imbalance())
+	if !slices.Equal(inc.devLoads, fresh.devLoads) || inc.imbalance() != fresh.imbalance() {
+		t.Fatalf("device loads: incremental %v, rebased %v", inc.devLoads, fresh.devLoads)
 	}
-	if inc.CanKeep() != fresh.CanKeep() {
-		t.Fatalf("CanKeep: incremental %v, rebased %v", inc.CanKeep(), fresh.CanKeep())
+	if inc.canKeep() != fresh.canKeep() {
+		t.Fatalf("canKeep: incremental %v, rebased %v", inc.canKeep(), fresh.canKeep())
 	}
 }
 
@@ -140,15 +176,17 @@ func TestDriftTrackerUpdateEqualsRebase(t *testing.T) {
 // the solution of an untracked SolveWarm — same layout cells, same
 // candidate count, same migrations, same cost bits. The keeps (a drifted
 // matrix folded back to the baseline's, a few moved tokens, a repost with
-// no changed cell) leave their cost unscored until asked.
+// no changed cell) leave their cost unscored until asked; every scored
+// solve leaves its scoring walk of the returned layout in the cache.
 // TestLayerTrackedMatchesUntracked covers the install-and-rebase
 // lifecycle through the owner.
 func TestSolveWarmTrackedMatchesUntracked(t *testing.T) {
 	topo, s, gen, r0, sol0 := driftFixture(t, 16, 64, 256)
 	base, thr := r0.ExpertLoads(), 0.1
 	warm := WarmStart{Prev: sol0.Layout, PrevLoads: base, Threshold: thr, MigrationCost: 1e-6}
-	tr := NewDriftTracker(topo)
-	if err := tr.Rebase(r0, sol0.Layout, base, thr); err != nil {
+	checkCache(t, "cold solve", s, r0, sol0.Layout)
+	tr := newDriftTracker(topo)
+	if err := tr.rebase(r0, base, thr, s.scored()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -167,19 +205,33 @@ func TestSolveWarmTrackedMatchesUntracked(t *testing.T) {
 			r = moveTokens(r0, step%8 == 6)
 		}
 
+		// A replan verdict moves the cache onto its winner, which a Layer
+		// installs and rebases onto; this test keeps one warm start, so it
+		// points the cache back at Prev, whose lists the tracker splits
+		// over.
+		if s.warm.built != sol0.Layout {
+			s.warm.route.buildReplicas(sol0.Layout, topo)
+			s.warm.built = sol0.Layout
+		}
 		a, err := s.solveWarm(r, warm, tr)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if a.params == nil {
+			checkCache(t, "tracked solve", s, r, a.Layout)
+		} else {
+			checkCache(t, "tracked keep", s, nil, a.Layout) // scored nothing
 		}
 		b, err := s.SolveWarm(r, warm)
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkCache(t, "untracked solve", s, r, b.Layout)
 
 		// Only the tracker's keep verdict leaves the cost unscored, and
 		// every step but a fresh drift sample is within the threshold.
-		if unscored := a.params != nil; unscored != tr.CanKeep() || unscored != (step%4 != 0) {
-			t.Fatalf("step %d: tracked cost unscored=%v with CanKeep=%v", step, unscored, tr.CanKeep())
+		if unscored := a.params != nil; unscored != tr.canKeep() || unscored != (step%4 != 0) {
+			t.Fatalf("step %d: tracked cost unscored=%v with canKeep=%v", step, unscored, tr.canKeep())
 		}
 		if b.params != nil {
 			t.Fatalf("step %d: untracked solve left its cost unscored", step)

@@ -184,7 +184,6 @@ func (s *Solver) Repair(prev *Layout, loads []float64) (*Layout, RepairStats, er
 // no-re-layout baseline — the whole layer re-read from the checkpoint,
 // placed without regard to the routing distribution.
 func StaticRestoreLayout(e int, topo *topology.Topology, c int) (*Layout, error) {
-	n := topo.N()
 	slots := topo.NumAvailable() * c
 	if slots < e {
 		return nil, fmt.Errorf("planner: %d experts exceed the %d surviving capacity slots", e, slots)
@@ -193,13 +192,9 @@ func StaticRestoreLayout(e int, topo *topology.Topology, c int) (*Layout, error)
 	for j := range loads {
 		loads[j] = 1
 	}
-	reps, err := allocateEven(loads, slots)
+	reps, err := allocateEven(nil, loads, slots, nil)
 	if err != nil {
 		return nil, err
 	}
-	layout := NewLayout(e, n)
-	if err := placeReplicas(layout, reps, loads, make([]float64, n), make([]int, n), topo, c); err != nil {
-		return nil, err
-	}
-	return layout, nil
+	return ExpertRelocation(reps, loads, topo, c)
 }

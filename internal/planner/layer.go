@@ -8,7 +8,10 @@ import "laermoe/internal/trace"
 // layer, the drift tracker that carries steady-state decisions without
 // re-scoring the layer. Each planning action is one method, and only those
 // methods change what the tracker describes, so a valid tracker is bound
-// to exactly the layout in force and its planned loads by construction.
+// to exactly the layout in force and its planned loads by construction,
+// and the solver's keep-path cache, which the tracker splits cells over,
+// describes that layout: every solve leaves it on the layout it returns,
+// which Replan installs.
 //
 // The solver's topology may change only between calls, and the owner must
 // then call Repair (or Reset), which unbinds the tracker: membership and
@@ -21,7 +24,7 @@ type Layer struct {
 	planned []float64 // loads layout was planned for; empty before the first re-layout
 	warm    bool
 	thr     float64
-	tracker *DriftTracker // nil for an untracked layer
+	tracker *driftTracker // nil for an untracked layer
 }
 
 // Step is what one Replan did to its layer.
@@ -30,8 +33,8 @@ type Step struct {
 	// the replicas it restores onto devices that did not host them.
 	Changed bool
 	Moves   int
-	// Imbalance is LiteImbalance of the layout left in force under the
-	// routing the step planned against.
+	// Imbalance is LoadImbalance of the lite routing's device loads under
+	// the layout left in force and the routing the step planned against.
 	Imbalance float64
 	// Incremental reports that a bound drift tracker carried the solve
 	// instead of a full re-scan of the layer.
@@ -41,12 +44,14 @@ type Step struct {
 // NewLayer puts initial in force for a layer planned by solver. A warm
 // layer re-solves incrementally from the layout in force (SolveWarm with
 // the given raw threshold), a cold one from scratch (Solve). track gives a
-// warm layer a drift tracker; decisions are identical either way. initial
+// warm layer a drift tracker; decisions are identical either way. The
+// layer takes solver over: nothing else may solve with it, since the
+// tracker and the step report read what its last solve scored. initial
 // is never recycled into the solver's free list, so it may be shared.
 func NewLayer(solver *Solver, initial *Layout, warm, track bool, threshold float64) *Layer {
 	l := &Layer{solver: solver, layout: initial, warm: warm, thr: threshold}
 	if warm && track {
-		l.tracker = NewDriftTracker(solver.Topo)
+		l.tracker = newDriftTracker(solver.Topo)
 	}
 	return l
 }
@@ -68,7 +73,7 @@ func (l *Layer) PlannedLoads() []float64 { return l.planned }
 // instead of ratcheting the baseline forward and never firing.
 func (l *Layer) Replan(r *trace.RoutingMatrix, migrationCost, forecastErr float64, plannedFor []float64) (Step, error) {
 	prev := l.layout
-	var tr *DriftTracker
+	var tr *driftTracker
 	if l.tracker != nil && l.tracker.valid {
 		tr = l.tracker
 	}
@@ -98,20 +103,21 @@ func (l *Layer) Replan(r *trace.RoutingMatrix, migrationCost, forecastErr float6
 			l.planned = append(l.planned[:0], plannedFor...)
 		}
 	}
-	// Re-anchor an unbound tracker on the routing the layout in force was
-	// just decided against; without planned loads there is no baseline.
+	// An unbound tracker means the solve was untracked, so it scored the
+	// layout in force under r: re-anchor the tracker on that scoring walk.
+	// Without planned loads there is no baseline.
 	if l.tracker != nil && !l.tracker.valid && len(l.planned) > 0 {
-		if err := l.tracker.Rebase(r, l.layout, l.planned, l.thr); err != nil {
+		if err := l.tracker.rebase(r, l.planned, l.thr, l.solver.scored()); err != nil {
 			return Step{}, err
 		}
 	}
 	if l.tracker != nil && l.tracker.valid {
-		// The tracker holds the lite routing's device loads for exactly
-		// (r, layout in force): O(devices), bit-identical to LiteImbalance.
-		st.Imbalance = l.tracker.Imbalance()
+		// A tracked keep scores nothing; the tracker holds the lite
+		// routing's device loads for exactly (r, layout in force).
+		st.Imbalance = l.tracker.imbalance()
 	} else {
-		// Streams through the pooled router scratch: no Dispatch is built.
-		st.Imbalance = LiteImbalance(r, l.layout, l.solver.Topo)
+		// Every untracked solve scored the layout it returned under r.
+		st.Imbalance = LoadImbalance(l.solver.scored(), l.solver.Topo.NumAvailable())
 	}
 	return st, nil
 }
@@ -122,7 +128,7 @@ func (l *Layer) Replan(r *trace.RoutingMatrix, migrationCost, forecastErr float6
 // replica stays in force and the stats are zero.
 func (l *Layer) Repair() (RepairStats, error) {
 	if l.tracker != nil {
-		l.tracker.Invalidate()
+		l.tracker.invalidate()
 	}
 	next, st, err := l.solver.Repair(l.layout, l.planned)
 	if err != nil {
@@ -152,7 +158,7 @@ func (l *Layer) Restore(layout *Layout, planned []float64) {
 // the recycling keeps steady-state solves allocation-free.
 func (l *Layer) install(next *Layout, owned bool) {
 	if l.tracker != nil {
-		l.tracker.Invalidate()
+		l.tracker.invalidate()
 	}
 	if l.owned && l.layout != next {
 		l.solver.Recycle(l.layout)

@@ -13,8 +13,11 @@ import (
 // decisions through fresh drift, a few moved tokens, reposts, a Repair
 // after a node is masked and a Restore. Every step leaves the same layout
 // cells, the same Step{Changed, Moves} and planned loads, and Imbalance
-// bits equal to LiteImbalance of the layout in force; only the tracked
-// layer reports incremental solves, exactly when its tracker was bound.
+// bits equal to LoadImbalance of the lite routing's device loads under
+// the layout in force; only the tracked layer reports incremental solves,
+// exactly when its tracker was bound. A bound tracker holds exactly those
+// device loads, and its solver's cache describes the layout in force;
+// the untracked layer's solver holds them as its scored loads.
 func TestLayerTrackedMatchesUntracked(t *testing.T) {
 	topo, sT, gen, r0, _ := driftFixture(t, 16, 64, 256)
 	sP := NewSolver(topo, sT.C, sT.Params, sT.Opts)
@@ -44,7 +47,15 @@ func TestLayerTrackedMatchesUntracked(t *testing.T) {
 		if !tracked.Layout().Equal(plain.Layout()) || !slices.Equal(tracked.PlannedLoads(), plain.PlannedLoads()) {
 			t.Fatalf("%s: tracked and untracked layers diverge", what)
 		}
-		want := math.Float64bits(LiteImbalance(r, tracked.Layout(), topo))
+		ref := LiteTraffic(r, tracked.Layout(), topo).Loads()
+		if tr := tracked.tracker; tr.valid {
+			checkCache(t, what, sT, nil, tracked.Layout())
+			if !slices.Equal(tr.devLoads, ref) {
+				t.Fatalf("%s: tracker device loads %v, lite routing's %v", what, tr.devLoads, ref)
+			}
+		}
+		checkCache(t, what, sP, r, plain.Layout())
+		want := math.Float64bits(LoadImbalance(ref, topo.NumAvailable()))
 		if math.Float64bits(a.Imbalance) != want || math.Float64bits(b.Imbalance) != want {
 			t.Fatalf("%s: imbalance tracked %v, untracked %v, want %v (bit-identical)",
 				what, a.Imbalance, b.Imbalance, math.Float64frombits(want))
@@ -149,10 +160,13 @@ func TestLayerResetAndColdReplan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref := LiteTraffic(r, cold.Layout(), topo).Loads()
 		if !st.Changed || st.Incremental || !cold.Layout().Equal(want.Layout) ||
-			st.Moves != MigrationMoves(prev, cold.Layout()) || st.Imbalance != LiteImbalance(r, cold.Layout(), topo) {
+			st.Moves != MigrationMoves(prev, cold.Layout()) ||
+			math.Float64bits(st.Imbalance) != math.Float64bits(LoadImbalance(ref, topo.NumAvailable())) {
 			t.Fatalf("cold step %d: %+v does not match a scratch solve", k, st)
 		}
+		checkCache(t, "cold step", s, r, cold.Layout())
 	}
 
 	// A reset layout stays intact however many solves the free list serves.

@@ -27,7 +27,7 @@ func ExpertRelocation(expertRep []int, expertLoads []float64, topo *topology.Top
 		}
 	}
 	layout := NewLayout(e, n)
-	if err := placeReplicas(layout, expertRep, expertLoads, make([]float64, n), make([]int, n), topo, c); err != nil {
+	if err := placeReplicas(layout, expertRep, expertLoads, make([]float64, n), make([]int, n), topo, c, nil); err != nil {
 		return nil, err
 	}
 	return layout, nil
@@ -53,14 +53,9 @@ type placeScratch struct {
 // each expert j (0 places nothing) onto layout, whose existing replicas
 // must already be accounted in deviceLoads and deviceCount. The warm-start
 // solver uses it to re-place only the experts whose load drifted while
-// every other expert keeps its previous devices.
-func placeReplicas(layout *Layout, expertRep []int, expertLoads []float64, deviceLoads []float64, deviceCount []int, topo *topology.Topology, c int) error {
-	return placeReplicasScratch(layout, expertRep, expertLoads, deviceLoads, deviceCount, topo, c, nil)
-}
-
-// placeReplicasScratch is placeReplicas with an optional reusable working
-// set, for steady-state allocation-free warm solves.
-func placeReplicasScratch(layout *Layout, expertRep []int, expertLoads []float64, deviceLoads []float64, deviceCount []int, topo *topology.Topology, c int, ps *placeScratch) error {
+// every other expert keeps its previous devices, passing a reusable ps so
+// steady-state warm solves allocate nothing; nil allocates a fresh one.
+func placeReplicas(layout *Layout, expertRep []int, expertLoads []float64, deviceLoads []float64, deviceCount []int, topo *topology.Topology, c int, ps *placeScratch) error {
 	e, n := layout.E, layout.N
 	if len(expertRep) != e || len(expertLoads) != e {
 		return fmt.Errorf("planner: %d replica counts / %d loads for %d experts", len(expertRep), len(expertLoads), e)

@@ -161,13 +161,14 @@ func (d *Dispatch) Validate(r *trace.RoutingMatrix, l *Layout) error {
 // device lists (an arena plus per-expert offsets) and, because devices are
 // numbered node-major, the per-(expert, node) boundaries within each
 // expert's list — so a rank's intra-node targets are a precomputed
-// subrange instead of a scan. Instances recycle through routePool so that
-// steady-state routing and layout evaluation allocate nothing.
+// subrange instead of a scan. The routers recycle instances through
+// routePool and each Solver scores on its own, so that steady-state
+// routing and layout evaluation allocate nothing.
 type routeScratch struct {
 	repArena []int
 	repOff   []int // len E+1; replicas of expert j are repArena[repOff[j]:repOff[j+1]]
 	nodeOff  []int // len E*(nn+1); expert j's node-k replicas are repArena[nodeOff[j*(nn+1)+k]:nodeOff[j*(nn+1)+k+1]]
-	loads    []int
+	loads    []int // per-device received loads of the last scoring walk (evalBuiltLayoutCost)
 }
 
 var routePool = sync.Pool{New: func() interface{} { return new(routeScratch) }}
@@ -351,35 +352,6 @@ func LiteTraffic(r *trace.RoutingMatrix, l *Layout, topo *topology.Topology) *Di
 	routePool.Put(sc)
 	checkPairRange(loads)
 	return d
-}
-
-// LiteImbalance returns the max/mean per-device received token load of
-// the Alg. 3 lite routing of (r, l) — the balance a planner predicts for
-// a layout under a routing matrix (1.0 = perfect; 1 when no tokens flow)
-// — without materializing the Dispatch: assignments stream through a
-// pooled scratch straight into per-device accumulators, so the per-layer
-// decision reporting of the online engine and the laer-serve daemon does
-// not resurrect the allocation profile LiteRouting was carved out of the
-// solve path to avoid.
-func LiteImbalance(r *trace.RoutingMatrix, l *Layout, topo *topology.Topology) float64 {
-	if r.E != l.E || r.N != l.N {
-		panic(fmt.Sprintf("planner: routing matrix %dx%d does not match layout %dx%d", r.N, r.E, l.N, l.E))
-	}
-	sc := routePool.Get().(*routeScratch)
-	sc.buildReplicas(l, topo)
-	if cap(sc.loads) < r.N {
-		sc.loads = make([]int, r.N)
-	}
-	loads := sc.loads[:r.N]
-	for i := range loads {
-		loads[i] = 0
-	}
-	forEachAssignment(r, l, topo, sc, func(_, _, dst, tokens int, _ bool) {
-		loads[dst] += tokens
-	})
-	imb := LoadImbalance(loads, topo.NumAvailable())
-	routePool.Put(sc)
-	return imb
 }
 
 // LoadImbalance is the balance metric of Fig. 10b: the maximum of the

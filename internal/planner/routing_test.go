@@ -129,11 +129,13 @@ func TestLiteRoutingPropertyConservation(t *testing.T) {
 	}
 }
 
-// TestLiteImbalanceMatchesDispatch pins the streaming imbalance to the
-// materialized reference: max/mean of LiteRouting's received loads, for
-// randomized routings and layouts (including all-zero routing, where both
-// report the perfect-balance convention 1).
-func TestLiteImbalanceMatchesDispatch(t *testing.T) {
+// TestScoredImbalanceMatchesDispatch pins the imbalance a planning step
+// reads off the solver's scoring walk to the materialized reference:
+// LoadImbalance of the device loads evalLayoutCost leaves in its scratch
+// equals max/mean of LiteRouting's received loads, for randomized
+// routings and layouts and for the all-zero routing, where both report
+// the perfect-balance convention 1.
+func TestScoredImbalanceMatchesDispatch(t *testing.T) {
 	topo := topology.New(2, 4)
 	f := func(cells []uint8, layoutBits uint32) bool {
 		const n, e = 8, 4
@@ -171,7 +173,12 @@ func TestLiteImbalanceMatchesDispatch(t *testing.T) {
 		if mean := sum / float64(len(loads)); mean != 0 {
 			want = float64(maxLoad) / mean
 		}
-		return LiteImbalance(r, layout, topo) == want
+		var sc routeScratch
+		evalLayoutCost(r, layout, topo, testParams(), &sc)
+		return LoadImbalance(sc.loads, topo.NumAvailable()) == want
+	}
+	if !f(nil, 0) {
+		t.Error("the all-zero routing does not read 1")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

@@ -94,8 +94,8 @@ type warmScratch struct {
 	heap        loadHeap
 	order       []int
 	ps          placeScratch
-	route       routeScratch // replica lists of `built` (the keep-path cache)
-	routeCand   routeScratch // replica lists of the candidate being scored
+	route       routeScratch // replica lists and scored loads of `built` (the keep-path cache)
+	routeCand   routeScratch // the candidate being scored, swapped into route when it leads
 	built       *Layout      // layout route currently describes
 	base        *Layout      // kept-expert placements
 	cands       []*Layout    // candidate views handed to scoring
@@ -131,6 +131,21 @@ func (w *warmScratch) resize(e, n int) {
 		w.base = NewLayout(e, n)
 	}
 }
+
+// promote makes routeCand, just scored for l, the keep-path cache. The
+// two scratches swap, so the best layout scored so far always survives
+// the next candidate's scoring walk.
+func (w *warmScratch) promote(l *Layout) {
+	w.route, w.routeCand = w.routeCand, w.route
+	w.built = l
+}
+
+// scored returns the per-device loads of the lite routing of the layout
+// the last scored solve returned, under the matrix it solved: the
+// by-product of that solve's own scoring walk. A tracked keep scores
+// nothing and leaves them as they were. Read-only, and overwritten by the
+// next solve.
+func (s *Solver) scored() []int { return s.warm.route.loads }
 
 // getLayout hands out a recycled layout buffer of the right shape, or a
 // fresh one when none is available. A reissued buffer is about to be
@@ -177,7 +192,8 @@ func NewSolver(topo *topology.Topology, c int, params CostParams, opts SolverOpt
 // Scoring is incremental: each candidate layout is evaluated by streaming
 // the lite-routing assignments through the cost accumulators
 // (evalLayoutCost), so no candidate ever materializes a Dispatch.
-// Candidates are scored in order on one pooled route scratch; duplicate
+// Candidates are scored in order on the solver's own route scratches, and
+// the winner's scoring walk is left as the keep-path cache; duplicate
 // replica schemes (perturbation is not guaranteed to produce fresh ones)
 // are scored once.
 func (s *Solver) Solve(r *trace.RoutingMatrix) (*Solution, error) {
@@ -192,14 +208,14 @@ func (s *Solver) Solve(r *trace.RoutingMatrix) (*Solution, error) {
 	slots := s.Topo.NumAvailable() * s.C
 	var set [][]int
 	if !s.Opts.DisablePQ {
-		pq, err := allocateReplicas(expertLoad, slots)
+		pq, err := allocateReplicas(nil, expertLoad, slots, nil)
 		if err != nil {
 			return nil, err
 		}
 		set = append(set, pq)
 	}
 	if !s.Opts.DisableEven {
-		even, err := allocateEven(expertLoad, slots)
+		even, err := allocateEven(nil, expertLoad, slots, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -213,33 +229,28 @@ func (s *Solver) Solve(r *trace.RoutingMatrix) (*Solution, error) {
 		set = append(set, s.perturb(base))
 	}
 
-	layouts := make([]*Layout, len(set))
-	costs := make([]float64, len(set))
-	sc := routePool.Get().(*routeScratch)
-	defer routePool.Put(sc)
+	// The first strictly cheapest candidate wins, so a duplicate scheme,
+	// which would score exactly as its first occurrence did, is skipped.
+	w := &s.warm
+	var best *Layout
+	bestCost := 0.0
 	for i, reps := range set {
-		// A duplicate scheme inherits the score of its first occurrence.
-		if k := slices.IndexFunc(set[:i], func(o []int) bool { return slices.Equal(o, reps) }); k >= 0 {
-			layouts[i], costs[i] = layouts[k], costs[k]
+		if slices.ContainsFunc(set[:i], func(o []int) bool { return slices.Equal(o, reps) }) {
 			continue
 		}
 		layout, err := ExpertRelocation(reps, expertLoad, s.Topo, s.C)
 		if err != nil {
 			return nil, err
 		}
-		layouts[i], costs[i] = layout, evalLayoutCost(r, layout, s.Topo, s.Params, sc)
-	}
-
-	bi := 0
-	for i := 1; i < len(set); i++ {
-		if costs[i] < costs[bi] {
-			bi = i
+		if cost := evalLayoutCost(r, layout, s.Topo, s.Params, &w.routeCand); best == nil || cost < bestCost {
+			best, bestCost = layout, cost
+			w.promote(layout)
 		}
 	}
 	return &Solution{
-		Layout:     layouts[bi],
+		Layout:     best,
 		Candidates: len(set),
-		cost:       costs[bi],
+		cost:       bestCost,
 	}, nil
 }
 
@@ -303,8 +314,8 @@ func (s *Solver) SolveWarm(r *trace.RoutingMatrix, warm WarmStart) (*Solution, e
 // moved-set sweep, and, when nothing crossed the threshold, returns the
 // keep verdict without scoring the layer (Solution.Cost scores it if
 // asked). The result is bit-identical to the untracked path (see
-// DriftTracker).
-func (s *Solver) solveWarm(r *trace.RoutingMatrix, warm WarmStart, tr *DriftTracker) (*Solution, error) {
+// driftTracker).
+func (s *Solver) solveWarm(r *trace.RoutingMatrix, warm WarmStart, tr *driftTracker) (*Solution, error) {
 	if warm.Prev == nil {
 		return s.Solve(r)
 	}
@@ -327,11 +338,12 @@ func (s *Solver) solveWarm(r *trace.RoutingMatrix, warm WarmStart, tr *DriftTrac
 	moved := w.moved
 	anyMoved := false
 	if tr != nil {
-		if err := tr.Update(r); err != nil {
+		// A bound tracker's layout is Prev, which the cache describes.
+		if err := tr.update(r, &w.route); err != nil {
 			return nil, err
 		}
 		loads = tr.loads
-		if tr.CanKeep() {
+		if tr.canKeep() {
 			return &Solution{
 				Layout:     warm.Prev,
 				Candidates: 1,
@@ -361,11 +373,12 @@ func (s *Solver) solveWarm(r *trace.RoutingMatrix, warm WarmStart, tr *DriftTrac
 	}
 
 	// Score keeping Prev. Its replica lists persist in the scratch across
-	// solves: at steady state (the layout held for several epochs) the
-	// O(E*N) rebuild is skipped entirely. The cache is keyed on the
-	// layout pointer and dropped whenever that buffer is reissued for
-	// rewriting, so it can never describe stale contents — provided
-	// callers treat returned layouts as immutable (they must anyway).
+	// solves: every scored solve leaves the cache on the layout it
+	// returned, so once the caller installs that layout the O(E*N) rebuild
+	// is skipped. The cache is keyed on the layout pointer and dropped
+	// whenever that buffer is reissued for rewriting, so it can never
+	// describe stale contents — provided callers treat returned layouts
+	// as immutable (they must anyway).
 	if w.built != warm.Prev {
 		w.route.buildReplicas(warm.Prev, s.Topo)
 		w.built = warm.Prev
@@ -388,7 +401,8 @@ func (s *Solver) solveWarm(r *trace.RoutingMatrix, warm WarmStart, tr *DriftTrac
 	// then candidate order. A candidate's score is its cost with the
 	// improvement over keeping discounted by forecast confidence, plus the
 	// migration charge: with a perfectly trusted matrix (ForecastError 0)
-	// this is exactly cost + MigrationCost*moves.
+	// this is exactly cost + MigrationCost*moves. A leading candidate's
+	// scoring walk becomes the cache.
 	discount := 1.0
 	if warm.ForecastError > 0 {
 		discount = 1 / (1 + warm.ForecastError)
@@ -402,6 +416,7 @@ func (s *Solver) solveWarm(r *trace.RoutingMatrix, warm WarmStart, tr *DriftTrac
 		score := keepCost - (keepCost-cost)*discount + warm.MigrationCost*float64(moves)
 		if score < bestScore {
 			best, bestCost, bestMoves, bestScore = cand, cost, moves, score
+			w.promote(cand)
 		}
 	}
 	// Losing candidate buffers go straight back to the free list; the
@@ -503,9 +518,9 @@ func (s *Solver) incrementalLayouts(prev *Layout, loads []float64, moved []bool)
 		}
 		var err error
 		if scheme == schemePQ {
-			err = allocateReplicasInto(reps, movedLoads, slots, w.heap)
+			reps, err = allocateReplicas(reps, movedLoads, slots, w.heap)
 		} else {
-			err = allocateEvenInto(reps, movedLoads, slots, w.order)
+			reps, err = allocateEven(reps, movedLoads, slots, w.order)
 		}
 		if err != nil {
 			return nil, err
@@ -526,7 +541,7 @@ func (s *Solver) incrementalLayouts(prev *Layout, loads []float64, moved []bool)
 		cand.CopyFrom(base)
 		copy(w.dl, deviceLoads)
 		copy(w.dc, deviceCount)
-		if err := placeReplicasScratch(cand, place, loads, w.dl, w.dc, s.Topo, s.C, &w.ps); err != nil {
+		if err := placeReplicas(cand, place, loads, w.dl, w.dc, s.Topo, s.C, &w.ps); err != nil {
 			return nil, err
 		}
 		out = append(out, cand)

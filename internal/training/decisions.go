@@ -147,10 +147,9 @@ type OnlinePlanner struct {
 	layouts []*planner.Layout
 	state   []layerState
 
-	pred        bool
-	confThr     float64
-	alwaysTrust bool
-	perDevice   int
+	pred      bool
+	confThr   float64
+	perDevice int
 
 	// scoreMigCost is the per-replica migration charge amortized over the
 	// epoch's remaining micro-batches, the keep-versus-migrate score input.
@@ -249,6 +248,9 @@ func NewOnlinePlanner(cfg OnlineConfig) (*OnlinePlanner, error) {
 	if cfg.MigrationCostPerReplica < 0 {
 		return nil, fmt.Errorf("training: negative migration cost")
 	}
+	if cfg.ConfidenceThreshold < 0 {
+		return nil, fmt.Errorf("training: negative confidence threshold %g", cfg.ConfidenceThreshold)
+	}
 
 	// The planner plans (and repairs) against its own clone of the
 	// topology: fault events applied through ApplyFaults must not reach
@@ -297,7 +299,6 @@ func NewOnlinePlanner(cfg OnlineConfig) (*OnlinePlanner, error) {
 	}
 	p.pred = spec.Predictive
 	p.confThr = cfg.ConfidenceThreshold
-	p.alwaysTrust = p.confThr < 0
 	if p.confThr == 0 {
 		p.confThr = DefaultConfidenceThreshold
 	}
@@ -542,7 +543,7 @@ func (p *OnlinePlanner) planBoundaryLayer(l int) error {
 	}
 	s.predictor.ForecastInto(s.fcast)
 	s.fcastMade = true
-	if !p.alwaysTrust && s.streak < trustWindows {
+	if s.streak < trustWindows {
 		return nil // shadow forecast: measure, don't act
 	}
 	if s.synth == nil {
@@ -644,13 +645,6 @@ func (p *OnlinePlanner) observeLayer(l int, r *trace.RoutingMatrix) error {
 			}
 		}
 		s.predictor.Observe(s.realized)
-		if s.acted && p.alwaysTrust {
-			// Diagnostic mode: never refine. The decision still reports
-			// the balance the trusted boundary layout delivers under the
-			// realized routing.
-			s.step[stepObserve].Imbalance = planner.LiteImbalance(r, s.plan.Layout(), p.topo)
-			return nil
-		}
 	}
 	if err := p.solveStep(l, stepObserve, r, 0, nil); err != nil {
 		return err

@@ -153,9 +153,7 @@ type OnlineConfig struct {
 	// to warm-start semantics; a layer's forecasts are acted on only after
 	// two consecutive sub-threshold windows, so a single lucky window
 	// under an unforecastable regime stays reactive. 0 selects
-	// DefaultConfidenceThreshold, a negative value trusts every forecast
-	// unconditionally (no trust warm-up, no post-observation refinement) —
-	// mainly for predictor-quality experiments.
+	// DefaultConfidenceThreshold; a negative value is rejected.
 	ConfidenceThreshold float64
 
 	AuxLossWeight float64

@@ -256,6 +256,12 @@ func TestOnlineConfigValidation(t *testing.T) {
 	}
 	if err := bad(func(c *OnlineConfig) {
 		c.Policy = ReplanPredictive
+		c.ConfidenceThreshold = -1
+	}); err == nil {
+		t.Fatal("negative confidence threshold accepted")
+	}
+	if err := bad(func(c *OnlineConfig) {
+		c.Policy = ReplanPredictive
 		c.Predictor = "oracle"
 	}); err == nil {
 		t.Fatal("unknown predictor accepted")

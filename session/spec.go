@@ -34,8 +34,7 @@ type Spec struct {
 	Arrival  string `json:"arrival,omitempty"`
 
 	// Predictor and ConfidenceThreshold configure the predictive policy
-	// (defaults: "trend", 0.25; a negative threshold trusts forecasts
-	// unconditionally).
+	// (defaults: "trend", 0.25; a negative threshold is rejected).
 	Predictor           string  `json:"predictor,omitempty"`
 	ConfidenceThreshold float64 `json:"confidence_threshold,omitempty"`
 
